@@ -17,7 +17,7 @@ Run:  python examples/live_threads.py
 import time
 
 from repro.core import MinThroughputContract
-from repro.runtime import ThreadFarm, ThreadFarmController
+from repro.runtime import ThreadFarm, FarmController
 
 
 def filter_image(task_id: int) -> int:
@@ -30,7 +30,7 @@ def main() -> None:
     farm = ThreadFarm(filter_image, initial_workers=1, name="livefarm")
     # One worker sustains ~20 tasks/s; demand 60 -> the controller must
     # grow the farm to at least 3 workers.
-    controller = ThreadFarmController(
+    controller = FarmController(
         farm,
         MinThroughputContract(60.0),
         control_period=0.25,

@@ -13,7 +13,7 @@ Run:  python examples/medical_imaging.py
 
 from repro.core import MinThroughputContract, build_farm_bs
 from repro.sim import ResourceManager, Simulator, TraceRecorder, make_cluster
-from repro.sim.trace import ascii_series
+from repro.obs import ascii_series
 from repro.sim.workload import ConstantWork, HotSpotWork, TaskSource
 
 TARGET = 0.6          # images per second (the paper's SLA)

@@ -15,7 +15,7 @@ from repro.core import MinThroughputContract
 from repro.core.skeleton_manager import FarmManager
 from repro.gcm.abc_controller import FarmABC
 from repro.sim import ResourceManager, SimFarmOfPipelines, Simulator, make_cluster
-from repro.sim.trace import ascii_series
+from repro.obs import ascii_series
 from repro.sim.workload import ConstantWork, TaskSource
 from repro.skeletons import Farm, Pipe, Seq, service_time, throughput
 

@@ -39,7 +39,7 @@ from ..sim.network import Network
 from ..sim.pipeline import Forwarder, SeqStage, SimPipeline
 from ..sim.queues import Store
 from ..sim.resources import Node, NodePredicate, ResourceManager, any_node
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from ..sim.workload import TaskSource, WorkModel
 from ..skeletons.ast import Farm as FarmSkel
 from ..skeletons.ast import Pipe as PipeSkel

@@ -38,7 +38,7 @@ from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import Bean, ManagerOperation
 from ..rules.engine import RuleEngine
 from ..sim.engine import PeriodicTask, Simulator
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from .contracts import Contract
 from .events import Events, Violation
 

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..gcm.abc_controller import FarmABC, PlannedReconfiguration
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import ManagerOperation
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from .events import Events
 from .manager import AutonomicManager, ManagerError
 

@@ -26,7 +26,7 @@ from ..core.behavioural import build_farm_bs
 from ..core.contracts import ThroughputRangeContract
 from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from ..sim.workload import ConstantWork, TaskSource
 from .fig3 import Fig3Config, Fig3Result, run_fig3
 

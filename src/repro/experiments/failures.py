@@ -25,7 +25,7 @@ from ..core.behavioural import FarmBS, build_farm_bs
 from ..core.contracts import MinThroughputContract
 from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from ..sim.workload import ConstantWork, TaskSource
 
 __all__ = ["FaultConfig", "FaultResult", "run_faults"]

@@ -33,7 +33,7 @@ from ..core.events import Events
 from ..obs.telemetry import Telemetry
 from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from ..sim.workload import UniformWork
 
 __all__ = ["Fig4Config", "Fig4Result", "run_fig4", "main"]

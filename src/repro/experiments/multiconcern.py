@@ -35,7 +35,7 @@ from ..security.manager import SecurityABC, SecurityManager
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.resources import Domain, Node, ResourceManager
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from ..sim.workload import ConstantWork, TaskSource
 
 __all__ = ["MultiConcernConfig", "MultiConcernResult", "run_multiconcern"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..sim.trace import ascii_series, ascii_timeline
+from ..obs.export import ascii_series, ascii_timeline
 from .ablation import AblationRow
 from .failures import FaultResult
 from .fig3 import Fig3Result

@@ -25,7 +25,7 @@ from ..core.contracts import ThroughputRangeContract
 from ..core.events import Events
 from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
-from ..sim.trace import TraceRecorder
+from ..obs.events import TraceRecorder
 from ..sim.workload import ConstantWork
 
 __all__ = ["StageFarmConfig", "StageFarmResult", "run_stagefarm"]

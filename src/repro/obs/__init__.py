@@ -11,7 +11,7 @@ One substrate-agnostic telemetry spine for the whole stack:
   intent round of the autonomic managers becomes a span or span-event;
 * **event marks** (:mod:`repro.obs.events`) — the flat
   ``(time, actor, name)`` records behind the reproduced figures
-  (formerly ``repro.sim.trace``, which remains as a shim);
+  (re-exported by ``repro.sim``);
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of counters,
   gauges and fixed-bucket histograms: control-loop latency, queue
   variance, per-worker service time, reconfiguration blackout duration;

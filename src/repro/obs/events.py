@@ -10,8 +10,7 @@ benchmark harnesses then render them as aligned text timelines and CSV.
 The recorder is intentionally passive — pure appends, no side effects —
 so attaching it never perturbs scenario dynamics.  It lives in the
 substrate-agnostic ``repro.obs`` package because the same recorder
-serves sim-time and wall-clock runs; :mod:`repro.sim.trace` re-exports
-it for backward compatibility.
+serves sim-time and wall-clock runs.
 """
 
 from __future__ import annotations

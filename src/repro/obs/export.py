@@ -10,8 +10,7 @@ Three consumers, three formats:
   in the Prometheus text exposition format (``# HELP``/``# TYPE`` plus
   samples; histograms as cumulative ``_bucket{le=…}`` series).
 * :func:`ascii_timeline` / :func:`ascii_series` — the textual figure
-  renderers behind the regenerated Figures 3 and 4 (these moved here
-  from ``repro.sim.trace``, which re-exports them unchanged).
+  renderers behind the regenerated Figures 3 and 4.
 """
 
 from __future__ import annotations
@@ -242,7 +241,7 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 
 
 # ----------------------------------------------------------------------
-# ASCII figure renderers (exact behaviour of the original sim.trace ones)
+# ASCII figure renderers
 # ----------------------------------------------------------------------
 
 def ascii_timeline(

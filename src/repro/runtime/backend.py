@@ -4,25 +4,41 @@ The paper's behavioural skeletons separate *mechanism* (the pattern
 implementation with its monitoring and actuator interfaces) from
 *policy* (the rule set the autonomic manager evaluates).  This module
 pins down the mechanism side for wall-clock substrates: anything that
-implements :class:`FarmBackend` — today the thread farm
-(:class:`~repro.runtime.farm_runtime.ThreadFarm`) and the process farm
-(:class:`~repro.runtime.process_farm.ProcessFarm`) — can be driven by
+implements :class:`FarmBackend` — the thread, process and TCP farms,
+which share one :class:`~repro.runtime.farm_core.FarmCore`, and the
+supervised and sharded farms composed from them — can be driven by
 :class:`~repro.runtime.controller.FarmController` with the *unmodified*
 Figure 5 rules, exactly as the simulated
 :class:`~repro.sim.farm.SimFarm` is driven by the simulated managers.
 
 The protocol is structural (:class:`typing.Protocol`): backends do not
-inherit from it, they just provide the surface.  ``ThreadFarm`` predates
-the protocol and conforms unchanged — the protocol was extracted from
-it, not the other way round.
+inherit from it, they just provide the surface.
 """
 
 from __future__ import annotations
 
+import queue
+import time
 from dataclasses import dataclass
 from typing import Any, List, Optional, Protocol, runtime_checkable
 
-__all__ = ["FarmBackend", "RuntimeFarmSnapshot"]
+__all__ = ["FarmBackend", "RuntimeFarmSnapshot", "drain_queue"]
+
+
+def drain_queue(results: "queue.Queue[Any]", count: int, timeout: float) -> List[Any]:
+    """Collect ``count`` items from ``results`` in arrival order; raise
+    :class:`TimeoutError` naming how many arrived once ``timeout`` passes."""
+    out: List[Any] = []
+    deadline = time.monotonic() + timeout
+    for _ in range(count):
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError(f"collected {len(out)}/{count} results")
+        try:
+            out.append(results.get(timeout=remaining))
+        except queue.Empty:
+            raise TimeoutError(f"collected {len(out)}/{count} results") from None
+    return out
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ lock, held only for short, non-blocking sections.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import os
 import subprocess
 import sys
@@ -54,14 +53,10 @@ import threading
 import time
 import queue
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Set, Tuple
 
-from ..obs.propagation import TraceContext, task_context
-from ..obs.spans import Span
-from ..obs.telemetry import NOOP, Telemetry
-from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import RuntimeFarmSnapshot
+from ..obs.telemetry import Telemetry
 from .dist_proto import (
     COMPAT_PROTOCOLS,
     PROTOCOL_VERSION,
@@ -75,7 +70,7 @@ from .dist_proto import (
     read_frame_ex,
     verify_proof,
 )
-from .process_farm import DeadLetter
+from .farm_core import FarmCore, WorkerState, _TaskRecord
 
 __all__ = ["DistFarm", "DistWorkerHandle", "fn_spec"]
 
@@ -124,41 +119,17 @@ class _ResultBus(queue.Queue):
             self.not_empty.notify(len(items))
 
 
-@dataclass
-class _TaskRecord:
-    """Coordinator-side bookkeeping for one not-yet-acknowledged task."""
-
-    task_id: int
-    payload: Any
-    submitted_at: float
-    attempts: int = 0
-    worker_id: Optional[int] = None  # None: awaiting (re)dispatch
-    next_retry_at: float = 0.0
-    # trace context: the task's root span and the current (or most
-    # recent) dispatch-attempt span; each new attempt parents under the
-    # previous one, so a replayed task reads as one causal chain
-    root: Optional[Span] = None
-    dispatch: Optional[Span] = None
-    dispatch_seq: int = 0
-
-
-@dataclass
-class DistWorkerHandle:
+@dataclass(eq=False)
+class DistWorkerHandle(WorkerState):
     """Coordinator-side view of one worker (spawned or attached)."""
 
-    worker_id: int
     #: local child process, or None for a remotely attached worker
     process: Optional[subprocess.Popen] = None
     writer: Optional[asyncio.StreamWriter] = None
     connected: bool = False
     ever_connected: bool = False
-    secured: bool = False
-    quarantined: bool = False
-    active: bool = True
-    retiring: bool = False
     got_bye: bool = False
     spawned_at: float = 0.0
-    last_seen: float = 0.0
     #: protocol generation this session negotiated (3: legacy JSON
     #: dialect — one task per frame, per-payload encryption; 4: binary
     #: frames, batches)
@@ -167,9 +138,6 @@ class DistWorkerHandle:
     wire: int = 3
     #: payload codec negotiated at hello for this session's data frames
     codec: str = "json"
-    reported_completed: int = 0
-    dispatched: int = 0
-    outstanding: Set[int] = field(default_factory=set)
     span: Any = None  # detached dist.worker telemetry span
     #: in-flight secure handshake state (challenge sent, waiter to wake)
     secure_challenge: Optional[str] = None
@@ -179,8 +147,16 @@ class DistWorkerHandle:
     def pid(self) -> Optional[int]:
         return self.process.pid if self.process is not None else None
 
+    def fail_handshake(self) -> None:
+        """Wake a ``secure_worker()`` caller blocked on this worker's
+        handshake, so it reports failure instead of timing out."""
+        if self.secure_waiter is not None:
+            self.secure_challenge = None
+            self.secure_waiter.set()
+            self.secure_waiter = None
 
-class DistFarm:
+
+class DistFarm(FarmCore):
     """A live task farm whose executors sit across a TCP boundary.
 
     Satisfies the :class:`~repro.runtime.backend.FarmBackend` surface,
@@ -235,6 +211,8 @@ class DistFarm:
     #: (coordinators without the capability simply rely on quarantine)
     SUPPORTS_REQUIRE_SECURE = True
 
+    METRICS = "repro_dist"
+
     def __init__(
         self,
         fn: Any,
@@ -266,12 +244,20 @@ class DistFarm:
             # 0 is legal: a promoted standby starts empty and adopts the
             # dead coordinator's surviving workers instead of spawning
             raise ValueError("initial_workers must be non-negative")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        super().__init__(
+            name=name,
+            rate_window=rate_window,
+            max_workers=max_workers,
+            telemetry=telemetry,
+            clock=clock,
+            max_attempts=max_attempts,
+            backoff_base=backoff_base,
+            backoff_cap=backoff_cap,
+        )
         self.fn_spec = fn_spec(fn)
         if codec == "auto":
             # REPRO_DIST_CODEC pins every session without touching call
@@ -282,46 +268,18 @@ class DistFarm:
         self.batch_size = batch_size
         self.max_buffered_bytes = max_buffered_bytes
         self._fill_scheduled = False
-        self.name = name
-        self.max_workers = max_workers
         self.heartbeat_period = heartbeat_period
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_grace = connect_grace
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_attempts = max_attempts
         self.supervise_period = supervise_period
         self.max_inflight = max_inflight
-        self.telemetry = telemetry if telemetry is not None else NOOP
         self._host = host
         self.epoch = epoch
         self.worker_reconnect_attempts = worker_reconnect_attempts
         self._requested_port = port
-        self._clock = clock
-        self._t0 = clock()
-
         self.results: "_ResultBus" = _ResultBus()
-        self._lock = threading.RLock()
-        self.workers: List[DistWorkerHandle] = []
-        self._next_id = 0
-
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.rate_window = rate_window
-        self._latencies: "deque" = deque()  # (completion_time, latency)
-
-        self._tasks: Dict[int, _TaskRecord] = {}
         self._ready: "deque[int]" = deque()
         self._ready_set: Set[int] = set()
-        self._retry_heap: List[Tuple[float, int]] = []  # (due, task_id)
-        self._completed_ids: Set[int] = set()
-        self._task_seq = 0
-        self.submitted = 0
-        self.completed = 0
-        self.dead_letters: List[DeadLetter] = []
-        self.crashes: List[Tuple[float, int]] = []  # (time, worker_id)
-        self.replays = 0
-        self.duplicates = 0
 
         self._shutdown = threading.Event()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -474,18 +432,13 @@ class DistFarm:
                     handle.reported_completed, int(hello.get("completed", 0))
                 )
                 for task_id in sorted(handle.outstanding):
-                    record = self._tasks.get(task_id)
-                    if record is not None and task_id not in self._completed_ids:
-                        record.worker_id = None
-                        self.telemetry.end_span(
-                            record.dispatch, outcome="redispatched"
-                        )
-                        self.replays += 1
+                    if self._requeue(handle, task_id, "redispatched") is not None:
                         self._enqueue_ready(task_id)
-                handle.outstanding.clear()
             elif handle is None or handle.connected or not handle.active:
                 # remotely attached (or stale-id) worker: register fresh
-                if sum(1 for w in self.workers if w.active) >= self.max_workers:
+                try:
+                    self._check_capacity()
+                except RuntimeError:
                     writer.close()
                     return
                 handle = self._register_worker(process=None)
@@ -509,11 +462,7 @@ class DistFarm:
             reply["codec"] = codec
         writer.write(self._encode_control(handle, reply))
         if reattaching:
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_dist_reattach_total",
-                    "workers reattached after a coordinator failover",
-                ).labels(farm=self.name).inc()
+            self._count("reattach_total", "workers reattached after a coordinator failover")
             # ready tasks may have been waiting for this worker to appear
             self._request_fill()
         if retiring or self._shutdown.is_set():
@@ -526,11 +475,13 @@ class DistFarm:
         while True:
             try:
                 frame = await read_frame_ex(reader, allowed=allowed)
-            except ProtocolError as exc:
+            except ProtocolError:
                 # torn batch, oversized length, codec smuggling: the
                 # peer is faulty — disconnect, declare dead, replay its
                 # window elsewhere.  Never wait it out.
-                self._count_protocol_error(exc)
+                self._count(
+                    "protocol_errors_total", "connections dropped for wire-protocol violations"
+                )
                 break
             if frame[0] is None:
                 break
@@ -546,13 +497,6 @@ class DistFarm:
     def _encode_control(self, handle: DistWorkerHandle, message: dict) -> bytes:
         """Encode one control frame on ``handle``'s dialect (json, clear)."""
         return self._encode_wire(message, handle.wire)
-
-    def _count_protocol_error(self, exc: ProtocolError) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_protocol_errors_total",
-                "connections dropped for wire-protocol violations",
-            ).labels(farm=self.name).inc()
 
     def _on_disconnect(self, handle: DistWorkerHandle) -> None:
         with self._lock:
@@ -584,12 +528,12 @@ class DistFarm:
             entries = frame["results"] if kind == "result_batch" else (frame,)
             deliver: List[Any] = []
             with self._lock:
-                now = self.now()
-                handle.last_seen = now
+                handle.last_seen = self.now()
                 self._note_worker_counter(handle, int(frame.get("completed", 0)))
                 for entry in entries:
-                    fresh, result = self._absorb_result(handle, entry, now)
-                    if fresh:
+                    error = entry.get("error")
+                    result = entry.get("value") if error is None else RuntimeError(error)
+                    if self._ack(handle, int(entry["task_id"]), result, entry.get("span")):
                         deliver.append(result)
             self.results.put_many(deliver)
             self._fill()  # freed slots may unblock the ready queue
@@ -601,47 +545,6 @@ class DistFarm:
             elif kind == "bye":
                 handle.got_bye = True
                 self._note_worker_counter(handle, int(frame.get("completed", 0)))
-
-    def _absorb_result(
-        self, handle: DistWorkerHandle, entry: dict, now: float
-    ) -> Tuple[bool, Any]:
-        """Account one result entry (lock held).
-
-        Returns ``(fresh, result)``; ``fresh`` is False for a duplicate
-        of an already-completed task — the at-least-once replay that
-        also finished on its original worker — including duplicates
-        *inside* one replayed batch: exactly-once outward either way.
-        """
-        task_id = int(entry["task_id"])
-        handle.outstanding.discard(task_id)
-        if self.telemetry.enabled:
-            # import the worker-side exec span even for a duplicate
-            # result: both executions of an at-least-once replay
-            # belong in the task's one trace tree
-            self.telemetry.import_span(entry.get("span"))
-        if task_id in self._completed_ids:
-            self.duplicates += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_dist_duplicate_results_total",
-                    "result frames dropped because the task already completed",
-                ).labels(farm=self.name).inc()
-            return False, None
-        self._completed_ids.add(task_id)
-        record = self._tasks.pop(task_id, None)
-        if "error" in entry:
-            result: Any = RuntimeError(entry["error"])
-        else:
-            result = entry.get("value")
-        mark = max(now, self.departure_est._last_mark or 0.0)
-        self.departure_est.mark(mark)
-        self.completed += 1
-        if record is not None:
-            self._latencies.append((mark, mark - record.submitted_at))
-            outcome = "error" if isinstance(result, Exception) else "ok"
-            self.telemetry.end_span(record.dispatch, outcome=outcome)
-            self.telemetry.end_span(record.root, outcome=outcome)
-        return True, result
 
     def _handle_secured(self, handle: DistWorkerHandle, frame: dict) -> None:
         """A worker answered a ``secure`` challenge (loop thread)."""
@@ -656,11 +559,11 @@ class DistFarm:
             handle.secure_challenge = None
             waiter = handle.secure_waiter
             handle.secure_waiter = None
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_secure_handshakes_total",
-                "secure-channel handshake answers, by outcome",
-            ).labels(farm=self.name, outcome="ok" if ok else "bad-proof").inc()
+        self._count(
+            "secure_handshakes_total",
+            "secure-channel handshake answers, by outcome",
+            outcome="ok" if ok else "bad-proof",
+        )
         if waiter is not None:
             waiter.set()
 
@@ -680,61 +583,15 @@ class DistFarm:
         with self._lock:
             handle.last_seen = self.now()
             for task_id in task_ids:
-                self._refuse_one(handle, task_id)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_refused_frames_total",
-                "task frames bounced by workers awaiting the handshake",
-            ).labels(farm=self.name).inc()
+                if self._requeue(handle, task_id, "refused") is not None:
+                    self._enqueue_ready(task_id)
+            self._count(
+                "refused_frames_total", "task frames bounced by workers awaiting the handshake"
+            )
         self._fill()
 
-    def _refuse_one(self, handle: DistWorkerHandle, task_id: int) -> None:
-        """Account one bounced dispatch (lock held): replay or dead-letter."""
-        handle.outstanding.discard(task_id)
-        record = self._tasks.get(task_id)
-        if record is None or task_id in self._completed_ids:
-            return
-        record.worker_id = None
-        # the bounced attempt stays referenced by the record so the
-        # replay parents under it
-        self.telemetry.end_span(record.dispatch, outcome="refused")
-        if record.attempts >= self.max_attempts:
-            del self._tasks[task_id]
-            self.telemetry.end_span(record.root, outcome="dead-letter")
-            self.dead_letters.append(
-                DeadLetter(
-                    task_id=task_id,
-                    payload=record.payload,
-                    attempts=record.attempts,
-                    last_worker_id=handle.worker_id,
-                )
-            )
-        else:
-            self.replays += 1
-            self._enqueue_ready(task_id)
-
-    def _note_worker_counter(self, handle: DistWorkerHandle, completed: int) -> None:
-        handle.reported_completed = max(handle.reported_completed, completed)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_dist_worker_completed_tasks",
-                "cumulative tasks completed, as reported by each worker",
-            ).labels(farm=self.name, worker=handle.worker_id).set(
-                handle.reported_completed
-            )
-
     def _count_frame(self, direction: str, size: int) -> None:
-        if not self.telemetry.enabled:
-            return
-        self.telemetry.metrics.counter(
-            "repro_dist_frames_total", "protocol frames exchanged"
-        ).labels(farm=self.name, direction=direction).inc()
-
-    # ------------------------------------------------------------------
-    # time base
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        return self._clock() - self._t0
+        self._count("frames_total", "protocol frames exchanged", direction=direction)
 
     # ------------------------------------------------------------------
     # stream
@@ -748,40 +605,11 @@ class DistFarm:
     ) -> None:
         """Track one task and queue it for dispatch.
 
-        With ``traceparent`` (a supervisor resubmitting across a
-        coordinator crash) this farm's span is a ``task.attempt`` child
-        of the caller's root instead of a fresh root, so every
-        incarnation's attempt chains into one tree.
+        ``tenant`` and ``traceparent`` shape the task's root span (see
+        :meth:`~repro.runtime.farm_core.FarmCore._trace_submit`).
         """
         with self._lock:
-            now = self.now()
-            self.arrival_est.mark(now)
-            self.submitted += 1
-            task_id = self._task_seq
-            self._task_seq += 1
-            record = _TaskRecord(task_id=task_id, payload=payload, submitted_at=now)
-            if self.telemetry.enabled:
-                parent = (
-                    TraceContext.from_traceparent(traceparent) if traceparent else None
-                )
-                if parent is not None:
-                    record.root = self.telemetry.start_span(
-                        "task.attempt",
-                        actor=self.name,
-                        context=parent.child(f"{self.name}/task/{task_id}"),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-                else:
-                    record.root = self.telemetry.start_span(
-                        "task",
-                        actor=self.name,
-                        context=task_context(self.name, task_id),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-            self._tasks[task_id] = record
-            self._enqueue_ready(task_id)
+            self._enqueue_ready(self._new_task(payload, tenant, traceparent).task_id)
         self._request_fill()
 
     def _enqueue_ready(self, task_id: int) -> None:
@@ -803,11 +631,17 @@ class DistFarm:
             if self._fill_scheduled:
                 return
             self._fill_scheduled = True
-        try:
-            self._loop.call_soon_threadsafe(self._fill)
-        except RuntimeError:  # loop already closed
+        if not self._on_loop(self._fill):
             with self._lock:
                 self._fill_scheduled = False
+
+    def _on_loop(self, fn: Callable[..., Any], *args: Any) -> bool:
+        """Schedule ``fn(*args)`` on the loop thread; False once it is closed."""
+        try:
+            self._loop.call_soon_threadsafe(fn, *args)
+        except RuntimeError:  # loop already closed
+            return False
+        return True
 
     def _writable(self, w: DistWorkerHandle) -> bool:
         """Backpressure check: is this worker's socket buffer shallow enough?
@@ -839,12 +673,8 @@ class DistFarm:
             while self._ready:
                 candidates = [
                     w
-                    for w in self.workers
-                    if w.active
-                    and w.connected
-                    and not w.retiring
-                    and not w.quarantined
-                    and w.writer is not None
+                    for w in self._serving()
+                    if w.connected
                     and len(w.outstanding) < self.max_inflight
                     and self._writable(w)
                 ]
@@ -863,10 +693,7 @@ class DistFarm:
                     record = self._tasks.get(task_id)
                     if record is None or record.worker_id is not None:
                         continue  # completed or already dispatched meanwhile
-                    record.attempts += 1
-                    record.worker_id = worker.worker_id
-                    worker.outstanding.add(task_id)
-                    entries.append((record, self._trace_dispatch(record, worker)))
+                    entries.append((record, self._assign(record, worker)))
                 if not entries:
                     continue
                 frames = self._encode_dispatch(worker, entries)
@@ -875,22 +702,18 @@ class DistFarm:
                         worker.writer.write(data)
                 except Exception:  # noqa: BLE001 - transport died under us
                     for record, _ in entries:
-                        worker.outstanding.discard(record.task_id)
-                        record.worker_id = None
-                        self.telemetry.end_span(
-                            record.dispatch, outcome="write-failed"
-                        )
-                        self._enqueue_ready(record.task_id)
+                        if self._requeue(worker, record.task_id, "write-failed") is not None:
+                            self._enqueue_ready(record.task_id)
                     return
                 for data in frames:
                     self._count_frame("tx", len(data))
-                for _ in entries:
-                    self._count_dispatch(worker)
-                if len(entries) > 1 and self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_dist_batched_tasks_total",
+                self._count_dispatch(worker, len(entries))
+                if len(entries) > 1:
+                    self._count(
+                        "batched_tasks_total",
                         "tasks dispatched inside multi-task batch frames",
-                    ).labels(farm=self.name).inc(len(entries))
+                        len(entries),
+                    )
 
     def _encode_dispatch(
         self,
@@ -939,61 +762,6 @@ class DistFarm:
             encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
         ]
 
-    def _trace_dispatch(
-        self, record: _TaskRecord, worker: DistWorkerHandle
-    ) -> Optional[str]:
-        """Chain one dispatch-attempt span; returns its traceparent.
-
-        The first attempt parents under the task root; every later one
-        (crash replay, refused bounce) parents under the attempt it
-        supersedes — the replayed execution lands *inside* the failed
-        dispatch's subtree, which is what makes the fault story legible.
-        """
-        if record.root is None:
-            return None
-        prev = record.dispatch
-        record.dispatch_seq += 1
-        parent = prev.context if prev is not None else record.root.context
-        seed = f"{self.name}/task/{record.task_id}/dispatch/{record.dispatch_seq}"
-        record.dispatch = self.telemetry.start_span(
-            "task.dispatch",
-            actor=self.name,
-            context=parent.child(seed),
-            worker=worker.worker_id,
-            attempt=record.attempts,
-            secured=worker.secured,
-        )
-        return record.dispatch.context.traceparent()
-
-    def _count_dispatch(self, worker: DistWorkerHandle) -> None:
-        """Account one task frame written to ``worker`` (lock held)."""
-        worker.dispatched += 1
-        if not self.telemetry.enabled:
-            return
-        metrics = self.telemetry.metrics
-        metrics.counter(
-            "repro_mc_dispatch_total", "tasks handed to a worker queue"
-        ).labels(farm=self.name).inc()
-        if not worker.secured:
-            metrics.counter(
-                "repro_mc_insecure_dispatch_total",
-                "tasks handed to a worker over an unsecured channel",
-            ).labels(farm=self.name).inc()
-
-    def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
-        """Collect ``count`` results (order of completion, deduplicated)."""
-        out: List[Any] = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self.results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
-
     # ------------------------------------------------------------------
     # supervision: liveness + replay of due retries
     # ------------------------------------------------------------------
@@ -1037,136 +805,23 @@ class DistFarm:
         return dead
 
     def _declare_dead(self, w: DistWorkerHandle, now: float) -> None:
-        """Crash handling: replay every un-acked task of ``w`` (lock held)."""
-        w.active = False
         w.connected = False
-        self._gauge_quarantined()
-        if w.secure_waiter is not None:
-            # a secure_worker() caller is blocked on this handshake;
-            # wake it so it reports failure instead of timing out
-            w.secure_challenge = None
-            w.secure_waiter.set()
-            w.secure_waiter = None
+        w.fail_handshake()
         if w.process is not None and w.process.poll() is None:
             try:
                 w.process.kill()  # wedged or partitioned: make it official
             except Exception:  # noqa: BLE001
                 pass
         if w.writer is not None:
-            writer = w.writer
+            self._on_loop(w.writer.transport.abort)
             w.writer = None
-            try:
-                self._loop.call_soon_threadsafe(writer.transport.abort)
-            except RuntimeError:
-                pass
-        self.crashes.append((now, w.worker_id))
         self._end_worker_span(w, outcome="crashed")
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_worker_crashes_total",
-                "workers declared dead by the supervisor",
-            ).labels(farm=self.name).inc()
-        for task_id in sorted(w.outstanding):
-            record = self._tasks.get(task_id)
-            if record is None:
-                continue
-            # the attempt in flight died with the worker; its span stays
-            # referenced by the record so the replay parents under it
-            self.telemetry.end_span(record.dispatch, outcome="crashed")
-            if record.attempts >= self.max_attempts:
-                del self._tasks[task_id]
-                self.telemetry.end_span(record.root, outcome="dead-letter")
-                self.dead_letters.append(
-                    DeadLetter(
-                        task_id=task_id,
-                        payload=record.payload,
-                        attempts=record.attempts,
-                        last_worker_id=w.worker_id,
-                    )
-                )
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_dist_dead_letter_total",
-                        "tasks abandoned after exhausting the replay budget",
-                    ).labels(farm=self.name).inc()
-                continue
-            delay = min(
-                self.backoff_base * (2 ** (record.attempts - 1)), self.backoff_cap
-            )
-            record.worker_id = None
-            record.next_retry_at = now + delay
-            heapq.heappush(self._retry_heap, (record.next_retry_at, record.task_id))
-            self.replays += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_dist_tasks_replayed_total",
-                    "task dispatches replayed after a worker death",
-                ).labels(farm=self.name).inc()
-        w.outstanding.clear()
+        super()._declare_dead(w, now)
 
     def _dispatch_due_retries(self, now: float) -> None:
-        """Queue replayed tasks whose backoff has elapsed (lock held).
-
-        Only tasks parked by a replay live on the heap, so the steady
-        state costs nothing per tick no matter how deep the live task
-        table is — scanning ``_tasks`` here was the supervision loop's
-        single biggest cost at 100k-task volumes.
-        """
-        while self._retry_heap and self._retry_heap[0][0] <= now:
-            _, task_id = heapq.heappop(self._retry_heap)
-            record = self._tasks.get(task_id)
-            if (
-                record is not None
-                and record.worker_id is None
-                and record.next_retry_at <= now
-            ):
-                self._enqueue_ready(task_id)
-
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
-    def snapshot(self) -> RuntimeFarmSnapshot:
-        with self._lock:
-            now = self.now()
-            live = [w for w in self.workers if w.active and not w.quarantined]
-            quarantined = sum(1 for w in self.workers if w.active and w.quarantined)
-            lengths = tuple(len(w.outstanding) for w in live)
-            _, var, _, _ = queue_length_stats(lengths)
-            cutoff = now - self.rate_window
-            while self._latencies and self._latencies[0][0] <= cutoff:
-                self._latencies.popleft()
-            mean_lat = (
-                sum(lat for _, lat in self._latencies) / len(self._latencies)
-                if self._latencies
-                else 0.0
-            )
-            return RuntimeFarmSnapshot(
-                time=now,
-                arrival_rate=self.arrival_est.rate(now),
-                departure_rate=self.departure_est.rate(now),
-                num_workers=len(live),
-                queue_lengths=lengths,
-                queue_variance=var,
-                completed=self.completed,
-                pending=len(self._tasks),
-                mean_latency=mean_lat,
-                quarantined=quarantined,
-            )
-
-    @property
-    def num_workers(self) -> int:
-        """Serving capacity: live workers past the admission gate."""
-        return sum(1 for w in self.workers if w.active and not w.quarantined)
-
-    @property
-    def quarantined_workers(self) -> int:
-        return sum(1 for w in self.workers if w.active and w.quarantined)
-
-    def _find_worker(self, worker_id: int) -> Optional[DistWorkerHandle]:
-        for w in self.workers:
-            if w.worker_id == worker_id:
-                return w
-        return None
+        """Queue replayed tasks whose backoff has elapsed (lock held)."""
+        for record in self._due_retries(now):
+            self._enqueue_ready(record.task_id)
 
     # ------------------------------------------------------------------
     # actuators
@@ -1177,25 +832,31 @@ class DistFarm:
         process: Optional[subprocess.Popen],
         secured: bool = False,
         quarantined: bool = False,
+        worker_id: Optional[int] = None,
     ) -> DistWorkerHandle:
-        """Create and track one worker handle (lock held by caller)."""
-        handle = DistWorkerHandle(
-            worker_id=self._next_id,
-            process=process,
-            secured=secured,
-            quarantined=quarantined,
-            spawned_at=self.now(),
-            last_seen=self.now(),
+        """Create and track one worker handle (lock held by caller).
+
+        An explicit ``worker_id`` adopts an existing worker under its
+        old identity (see :meth:`adopt_worker`).
+        """
+        adopted = {"adopted": True} if worker_id is not None else {}
+        handle = self._register(
+            DistWorkerHandle(
+                worker_id=self._next_id if worker_id is None else worker_id,
+                process=process,
+                secured=secured,
+                quarantined=quarantined,
+                spawned_at=self.now(),
+                last_seen=self.now(),
+            )
         )
-        self._next_id += 1
-        self.workers.append(handle)
-        self._gauge_quarantined()
         if self.telemetry.enabled:
             handle.span = self.telemetry.start_span(
                 "dist.worker",
                 actor=self.name,
                 worker=handle.worker_id,
                 local=process is not None,
+                **adopted,
             )
         return handle
 
@@ -1222,10 +883,7 @@ class DistFarm:
         rolled client) that beats the handshake.
         """
         with self._lock:
-            # quarantined workers count against the limit: they hold a
-            # real executor slot even while held out of dispatch
-            if sum(1 for w in self.workers if w.active) >= self.max_workers:
-                raise RuntimeError(f"worker limit {self.max_workers} reached")
+            self._check_capacity()
             worker_id = self._next_id  # reserved by _register_worker below
             cmd = [
                 sys.executable,
@@ -1278,27 +936,10 @@ class DistFarm:
         with self._lock:
             if self._find_worker(worker_id) is not None:
                 raise ValueError(f"worker id {worker_id} already registered")
-            if sum(1 for w in self.workers if w.active) >= self.max_workers:
-                raise RuntimeError(f"worker limit {self.max_workers} reached")
-            handle = DistWorkerHandle(
-                worker_id=worker_id,
-                process=process,
-                quarantined=quarantined,
-                spawned_at=self.now(),
-                last_seen=self.now(),
+            self._check_capacity()
+            return self._register_worker(
+                process=process, quarantined=quarantined, worker_id=worker_id
             )
-            self._next_id = max(self._next_id, worker_id + 1)
-            self.workers.append(handle)
-            self._gauge_quarantined()
-            if self.telemetry.enabled:
-                handle.span = self.telemetry.start_span(
-                    "dist.worker",
-                    actor=self.name,
-                    worker=handle.worker_id,
-                    local=process is not None,
-                    adopted=True,
-                )
-            return handle
 
     def secure_worker(self, worker_id: int, timeout: float = 10.0) -> bool:
         """Secure one worker's channel via the wire-level handshake.
@@ -1363,9 +1004,7 @@ class DistFarm:
                 )
             writer = w.writer
         if frame is not None:
-            try:
-                self._loop.call_soon_threadsafe(writer.write, frame)
-            except RuntimeError:  # loop already closed
+            if not self._on_loop(writer.write, frame):
                 return False
             self._count_frame("tx", len(frame))
         if not waiter.wait(max(0.0, deadline - time.monotonic())):
@@ -1382,23 +1021,10 @@ class DistFarm:
             return w.secured
 
     def admit_worker(self, worker_id: int) -> bool:
-        """Lift the admission gate: the worker joins the dispatch set."""
-        with self._lock:
-            w = self._find_worker(worker_id)
-            if w is None or not w.active:
-                return False
-            w.quarantined = False
-            self._gauge_quarantined()
-        self._request_fill()
+        if not super().admit_worker(worker_id):
+            return False
+        self._request_fill()  # capacity just appeared
         return True
-
-    def _gauge_quarantined(self) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_mc_quarantined_workers", "workers held at the admission gate"
-            ).labels(farm=self.name).set(
-                sum(1 for w in self.workers if w.active and w.quarantined)
-            )
 
     def _wait_for_connections(self, count: int, timeout: float) -> None:
         deadline = time.monotonic() + timeout
@@ -1429,20 +1055,14 @@ class DistFarm:
         replays anything still un-acked if it dies instead.
         """
         with self._lock:
-            live = [
-                w for w in self.workers if w.active and not w.retiring and not w.quarantined
-            ]
-            if len(live) <= 1:
+            victim = self._retiree()
+            if victim is None:
                 return None
-            victim = live[-1]
             victim.retiring = True
             writer = victim.writer
             poison = self._encode_control(victim, {"type": "poison"})
         if writer is not None:
-            try:
-                self._loop.call_soon_threadsafe(writer.write, poison)
-            except RuntimeError:
-                pass
+            self._on_loop(writer.write, poison)
         # not yet connected: _on_connection poisons it right after welcome
         return victim
 
@@ -1455,12 +1075,6 @@ class DistFarm:
         correct here cannot arise.  Returns 0.
         """
         return 0
-
-    def secure_all(self) -> None:
-        """Encrypt every future task payload on the wire."""
-        with self._lock:
-            for w in self.workers:
-                w.secured = True
 
     # ------------------------------------------------------------------
     # fault injection
@@ -1498,42 +1112,14 @@ class DistFarm:
             if worker_id is None:
                 # the newest worker may not have connected yet; a fault
                 # on a connection that does not exist is a no-op
-                live = [
-                    w
-                    for w in self.workers
-                    if w.active
-                    and not w.retiring
-                    and not w.quarantined
-                    and w.writer is not None
-                ]
+                live = [w for w in self._serving() if w.writer is not None]
                 victim = live[-1] if live else None
             else:
                 victim = self._pick_victim(worker_id)
             if victim is None or victim.writer is None:
                 return None
             writer = victim.writer
-        try:
-            self._loop.call_soon_threadsafe(writer.transport.abort)
-        except RuntimeError:
-            return None
-        return victim.worker_id
-
-    def _pick_victim(self, worker_id: Optional[int]) -> Optional[DistWorkerHandle]:
-        """Choose a live, serving worker (lock held by caller).
-
-        Default victims are never quarantined: fault tests target
-        workers that actually carry load.  An explicit id may name any
-        live worker, quarantined or not.
-        """
-        if worker_id is None:
-            live = [
-                w for w in self.workers if w.active and not w.retiring and not w.quarantined
-            ]
-            return live[-1] if live else None
-        victim = self._find_worker(worker_id)
-        if victim is None or not victim.active:
-            return None
-        return victim
+        return victim.worker_id if self._on_loop(writer.transport.abort) else None
 
     # ------------------------------------------------------------------
     # shutdown
@@ -1557,10 +1143,7 @@ class DistFarm:
         self._shutdown.set()
         with self._lock:
             survivors: List[DistWorkerHandle] = []
-            for record in self._tasks.values():
-                self.telemetry.end_span(record.dispatch, outcome="coordinator-crashed")
-                self.telemetry.end_span(record.root, outcome="coordinator-crashed")
-            self._tasks.clear()
+            self._abandon_tasks()
             self._ready.clear()
             self._ready_set.clear()
             for w in self.workers:
@@ -1569,17 +1152,10 @@ class DistFarm:
                 w.active = False
                 w.connected = False
                 self._end_worker_span(w, outcome="coordinator-crashed")
-                if w.secure_waiter is not None:
-                    w.secure_challenge = None
-                    w.secure_waiter.set()
-                    w.secure_waiter = None
-        if not self._loop.is_closed():
-            try:
-                # _finalize (post-stop) closes the server and aborts
-                # every worker transport — the EOF the workers react to
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass
+                w.fail_handshake()
+        # _finalize (post-stop) closes the server and aborts every
+        # worker transport — the EOF the workers react to
+        self._on_loop(self._loop.stop)
         self._loop_thread.join(5.0)
         return survivors
 
@@ -1606,11 +1182,8 @@ class DistFarm:
                 except Exception:  # noqa: BLE001
                     pass
 
-        if self._loop_ready.is_set() and not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(poison_all)
-            except RuntimeError:
-                pass
+        if self._loop_ready.is_set():
+            self._on_loop(poison_all)
         deadline = time.monotonic() + timeout
         for w in workers:
             if w.process is None:
@@ -1624,11 +1197,7 @@ class DistFarm:
                     w.process.wait(1.0)
                 except subprocess.TimeoutExpired:
                     pass
-        if not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass
+        self._on_loop(self._loop.stop)
         self._loop_thread.join(max(1.0, deadline - time.monotonic()))
         # abandoned tasks must not leak open spans into the export
         if self.telemetry.enabled:

@@ -47,6 +47,7 @@ from ...core.contracts import (
     split_rate_contract_weighted,
 )
 from ...obs.telemetry import NOOP, Telemetry
+from ..backend import drain_queue
 from .shard import FarmShard, ShardReport
 from .tenants import Admission, FairShareScheduler, TenantRegistry
 from .wire import ShardAgent, ShardLink, connect_shard
@@ -297,17 +298,7 @@ class ShardedFarm:
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results from all shards (completion order)."""
-        out: List[Any] = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self._results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+        return drain_queue(self._results, count, timeout)
 
     def _collect_loop(self, shard: FarmShard) -> None:
         """Funnel one shard's results into the central queue."""

@@ -41,16 +41,13 @@ import queue
 import signal
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional
 
-from ..obs.propagation import TraceContext, make_span_record, task_context
-from ..obs.spans import Span
-from ..obs.telemetry import NOOP, Telemetry
+from ..obs.propagation import TraceContext, make_span_record
+from ..obs.telemetry import Telemetry
 from ..security.crypto import decrypt, encrypt
-from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import RuntimeFarmSnapshot
+from .farm_core import DeadLetter, FarmCore, WorkerState, _TaskRecord
 
 __all__ = ["ProcessFarm", "ProcessWorkerHandle", "DeadLetter", "default_start_method"]
 
@@ -142,56 +139,19 @@ def _worker_main(
         result_q.put(("done", worker_id, task_id, result, completed, span_rec))
 
 
-@dataclass
-class _TaskRecord:
-    """Parent-side bookkeeping for one not-yet-acknowledged task."""
-
-    task_id: int
-    payload: Any
-    submitted_at: float
-    attempts: int = 0
-    worker_id: Optional[int] = None  # None: awaiting (re)dispatch
-    next_retry_at: float = 0.0
-    # trace context: the task's root span and the current (or most
-    # recent) dispatch-attempt span; each new attempt parents under the
-    # previous one, so a replayed task reads as one causal chain
-    root: Optional[Span] = None
-    dispatch: Optional[Span] = None
-    dispatch_seq: int = 0
-
-
-@dataclass(frozen=True)
-class DeadLetter:
-    """A task abandoned after exhausting its replay budget."""
-
-    task_id: int
-    payload: Any
-    attempts: int
-    last_worker_id: Optional[int]
-
-
-@dataclass
-class ProcessWorkerHandle:
+@dataclass(eq=False)
+class ProcessWorkerHandle(WorkerState):
     """Parent-side handle of one worker process."""
 
-    worker_id: int
-    process: multiprocessing.Process
-    task_queue: "multiprocessing.Queue"
-    secured: bool = False
-    quarantined: bool = False
-    active: bool = True
-    retiring: bool = False
-    last_seen: float = 0.0
-    reported_completed: int = 0
-    dispatched: int = 0
-    outstanding: set = field(default_factory=set)  # task ids awaiting ack
+    process: Optional[multiprocessing.Process] = None
+    task_queue: Optional["multiprocessing.Queue"] = None
 
     @property
     def pid(self) -> Optional[int]:
         return self.process.pid
 
 
-class ProcessFarm:
+class ProcessFarm(FarmCore):
     """A live task farm whose executors are supervised OS processes.
 
     Satisfies the same :class:`~repro.runtime.backend.FarmBackend`
@@ -209,6 +169,8 @@ class ProcessFarm:
         multiprocessing start method; ``fork`` (default on POSIX) allows
         closures as ``fn``, ``spawn`` needs a module-level callable.
     """
+
+    METRICS = "repro_process"
 
     def __init__(
         self,
@@ -230,43 +192,22 @@ class ProcessFarm:
     ) -> None:
         if initial_workers < 1:
             raise ValueError("need at least one worker")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        super().__init__(
+            name=name,
+            rate_window=rate_window,
+            max_workers=max_workers,
+            telemetry=telemetry,
+            clock=clock,
+            max_attempts=max_attempts,
+            backoff_base=backoff_base,
+            backoff_cap=backoff_cap,
+        )
         self.fn = fn
-        self.name = name
-        self.max_workers = max_workers
         self.heartbeat_period = heartbeat_period
         self.heartbeat_timeout = heartbeat_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_attempts = max_attempts
         self.supervise_period = supervise_period
-        self.telemetry = telemetry if telemetry is not None else NOOP
         self._ctx = multiprocessing.get_context(start_method or default_start_method())
-        self._clock = clock
-        self._t0 = clock()
-
-        self.results: "queue.Queue[Any]" = queue.Queue()
-        self._lock = threading.RLock()
-        self.workers: List[ProcessWorkerHandle] = []
-        self._next_id = 0
-        self._rr = 0
         self._result_q: "multiprocessing.Queue" = self._ctx.Queue()
-
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.rate_window = rate_window
-        self._latencies: "deque" = deque()  # (completion_time, latency)
-
-        self._tasks: Dict[int, _TaskRecord] = {}
-        self._completed_ids: set = set()
-        self._task_seq = 0
-        self.submitted = 0
-        self.completed = 0
-        self.dead_letters: List[DeadLetter] = []
-        self.crashes: List[Tuple[float, int]] = []  # (time, worker_id)
-        self.replays = 0
-        self.duplicates = 0
 
         self._shutdown = threading.Event()
         for _ in range(initial_workers):
@@ -281,12 +222,6 @@ class ProcessFarm:
         self._supervisor.start()
 
     # ------------------------------------------------------------------
-    # time base
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        return self._clock() - self._t0
-
-    # ------------------------------------------------------------------
     # stream
     # ------------------------------------------------------------------
     def submit(
@@ -298,132 +233,56 @@ class ProcessFarm:
     ) -> None:
         """Track one task and dispatch it to a worker (round robin).
 
-        With ``traceparent`` (a supervisor resubmitting across a
-        coordinator crash) this farm's span is a ``task.attempt`` child
-        of the caller's root instead of a fresh root, so every
-        incarnation's attempt chains into one tree.
+        ``tenant`` and ``traceparent`` shape the task's root span (see
+        :meth:`~repro.runtime.farm_core.FarmCore._trace_submit`).
         """
         with self._lock:
-            now = self.now()
-            self.arrival_est.mark(now)
-            self.submitted += 1
-            task_id = self._task_seq
-            self._task_seq += 1
-            record = _TaskRecord(task_id=task_id, payload=payload, submitted_at=now)
-            if self.telemetry.enabled:
-                parent = (
-                    TraceContext.from_traceparent(traceparent) if traceparent else None
-                )
-                if parent is not None:
-                    record.root = self.telemetry.start_span(
-                        "task.attempt",
-                        actor=self.name,
-                        context=parent.child(f"{self.name}/task/{task_id}"),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-                else:
-                    record.root = self.telemetry.start_span(
-                        "task",
-                        actor=self.name,
-                        context=task_context(self.name, task_id),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-            self._tasks[task_id] = record
-            self._dispatch(record)
+            self._dispatch(self._new_task(payload, tenant, traceparent))
 
-    def _dispatch(self, record: _TaskRecord) -> None:
-        """Send one tracked task to a live worker (lock held).
+    def _dispatch(self, record: _TaskRecord) -> bool:
+        """Send one tracked task to a serving worker (lock held).
 
-        With no live worker (e.g. every process just crashed) the record
-        stays queued with a due retry; the supervisor re-dispatches as
-        soon as capacity returns.  Quarantined workers are never
-        candidates — fresh submits and fault replays alike wait for
-        admitted capacity.
+        With no serving worker (e.g. every process just crashed) the
+        record is parked with a due retry; the supervisor re-dispatches
+        as soon as capacity returns.
         """
-        live = [w for w in self.workers if w.active and not w.retiring and not w.quarantined]
-        if not live:
-            record.worker_id = None
-            record.next_retry_at = self.now()
-            return
-        self._rr = (self._rr + 1) % len(live)
-        worker = live[self._rr]
-        record.attempts += 1
-        record.worker_id = worker.worker_id
-        worker.outstanding.add(record.task_id)
-        traceparent = self._trace_dispatch(record, worker)
+        worker = self._round_robin()
+        if worker is None:
+            self._park(record, self.now())
+            return False
+        traceparent = self._assign(record, worker)
+        payload = record.payload
         if worker.secured:
-            item = (
-                record.task_id,
-                encrypt(_SECRET, pickle.dumps(record.payload)),
-                True,
-                traceparent,
-            )
-        else:
-            item = (record.task_id, record.payload, False, traceparent)
-        worker.task_queue.put(item)
+            payload = encrypt(_SECRET, pickle.dumps(payload))
+        worker.task_queue.put((record.task_id, payload, worker.secured, traceparent))
         self._count_dispatch(worker)
+        return True
 
-    def _trace_dispatch(
-        self,
-        record: _TaskRecord,
-        worker: ProcessWorkerHandle,
-        outcome: Optional[str] = None,
-    ) -> Optional[str]:
-        """Chain one dispatch-attempt span; returns its traceparent.
+    def _move(self, src: ProcessWorkerHandle, dst: ProcessWorkerHandle) -> bool:
+        """Steal one queued, not yet started task from ``src`` for ``dst``.
 
-        The first attempt parents under the task root; every later one
-        (crash replay, rebalance steal) parents under the attempt it
-        supersedes — the replayed execution lands *inside* the failed
-        dispatch's subtree, which is what makes the fault story legible.
+        The parent is a legitimate extra consumer of a worker's task
+        queue, so stealing is just ``get_nowait`` + re-dispatch.
         """
-        if record.root is None:
-            return None
-        prev = record.dispatch
-        if prev is not None and outcome is not None:
-            self.telemetry.end_span(prev, outcome=outcome)
-        record.dispatch_seq += 1
-        parent = prev.context if prev is not None else record.root.context
-        seed = f"{self.name}/task/{record.task_id}/dispatch/{record.dispatch_seq}"
-        record.dispatch = self.telemetry.start_span(
-            "task.dispatch",
-            actor=self.name,
-            context=parent.child(seed),
-            worker=worker.worker_id,
-            attempt=record.attempts,
-            secured=worker.secured,
-        )
-        return record.dispatch.context.traceparent()
-
-    def _count_dispatch(self, worker: ProcessWorkerHandle) -> None:
-        """Account one task entering ``worker``'s queue (lock held)."""
-        worker.dispatched += 1
-        if not self.telemetry.enabled:
-            return
-        metrics = self.telemetry.metrics
-        metrics.counter(
-            "repro_mc_dispatch_total", "tasks handed to a worker queue"
-        ).labels(farm=self.name).inc()
-        if not worker.secured:
-            metrics.counter(
-                "repro_mc_insecure_dispatch_total",
-                "tasks handed to a worker over an unsecured channel",
-            ).labels(farm=self.name).inc()
-
-    def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
-        """Collect ``count`` results (order of completion, deduplicated)."""
-        out = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
+        while True:
             try:
-                out.append(self.results.get(timeout=remaining))
+                item = src.task_queue.get_nowait()
             except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+                return False
+            if item == _POISON:
+                src.task_queue.put(item)
+                return False
+            src.outstanding.discard(item[0])
+            record = self._tasks.get(item[0])
+            if record is not None:
+                break
+            # a replay whose original already completed: drop the copy
+        # re-stamp the envelope so the exec span parents under the
+        # steal, not the superseded dispatch
+        traceparent = self._assign(record, dst, outcome="rebalanced")
+        dst.task_queue.put(item[:3] + (traceparent,))
+        self._count_dispatch(dst)
+        return True
 
     # ------------------------------------------------------------------
     # result pump: the single reader of the result pipe (and the single
@@ -440,63 +299,18 @@ class ProcessFarm:
             self._handle_message(msg)
 
     def _handle_message(self, msg: tuple) -> None:
-        kind, worker_id = msg[0], msg[1]
+        kind = msg[0]
         with self._lock:
-            handle = self._find_worker(worker_id)
-            now = self.now()
+            handle = self._find_worker(msg[1])
             if handle is not None:
-                handle.last_seen = now
-            if kind == "hb":
-                self._note_worker_counter(handle, msg[2])
-                return
-            if kind == "bye":
-                self._note_worker_counter(handle, msg[2])
-                return
+                handle.last_seen = self.now()
+                self._note_worker_counter(handle, msg[4] if kind == "done" else msg[2])
             if kind != "done":
                 return
-            _, _, task_id, result, completed, span_rec = msg
-            self._note_worker_counter(handle, completed)
-            if self.telemetry.enabled:
-                # import the worker-side exec span even for a duplicate
-                # ack: both executions of an at-least-once replay belong
-                # in the task's one trace tree
-                self.telemetry.import_span(span_rec)
-            if task_id in self._completed_ids:
-                # a replayed task also finished on its original worker:
-                # at-least-once underneath, exactly-once outward
-                self.duplicates += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_process_duplicate_results_total",
-                        "acks dropped because the task already completed",
-                    ).labels(farm=self.name).inc()
-                return
-            self._completed_ids.add(task_id)
-            record = self._tasks.pop(task_id, None)
-            if handle is not None:
-                handle.outstanding.discard(task_id)
-            mark = max(now, self.departure_est._last_mark or 0.0)
-            self.departure_est.mark(mark)
-            self.completed += 1
-            if record is not None:
-                self._latencies.append((mark, mark - record.submitted_at))
-                outcome = "error" if isinstance(result, Exception) else "ok"
-                self.telemetry.end_span(record.dispatch, outcome=outcome)
-                self.telemetry.end_span(record.root, outcome=outcome)
-        self.results.put(result)
-
-    def _note_worker_counter(self, handle: Optional[ProcessWorkerHandle], completed: int) -> None:
-        """Fold a per-worker completion counter into the metrics registry."""
-        if handle is None:
-            return
-        handle.reported_completed = max(handle.reported_completed, completed)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_process_worker_completed_tasks",
-                "cumulative tasks completed, as reported by each worker",
-            ).labels(farm=self.name, worker=handle.worker_id).set(
-                handle.reported_completed
-            )
+            _, _, task_id, result, _, span_rec = msg
+            fresh = self._ack(handle, task_id, result, span_rec)
+        if fresh:
+            self.results.put(result)
 
     # ------------------------------------------------------------------
     # supervision: heartbeat liveness + replay of due retries
@@ -534,112 +348,18 @@ class ProcessFarm:
         return dead
 
     def _declare_dead(self, w: ProcessWorkerHandle, now: float) -> None:
-        """Crash handling: replay every un-acked task of ``w`` (lock held)."""
-        w.active = False
-        self._gauge_quarantined()
         if w.process.is_alive():  # wedged, not dead: make it official
             try:
                 w.process.kill()
             except Exception:  # noqa: BLE001
                 pass
-        self.crashes.append((now, w.worker_id))
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_process_worker_crashes_total",
-                "workers declared dead by the supervisor",
-            ).labels(farm=self.name).inc()
-        for task_id in sorted(w.outstanding):
-            record = self._tasks.get(task_id)
-            if record is None:
-                continue
-            # the attempt in flight died with the worker; its span stays
-            # referenced by the record so the replay parents under it
-            self.telemetry.end_span(record.dispatch, outcome="crashed")
-            if record.attempts >= self.max_attempts:
-                del self._tasks[task_id]
-                self.telemetry.end_span(record.root, outcome="dead-letter")
-                self.dead_letters.append(
-                    DeadLetter(
-                        task_id=task_id,
-                        payload=record.payload,
-                        attempts=record.attempts,
-                        last_worker_id=w.worker_id,
-                    )
-                )
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_process_dead_letter_total",
-                        "tasks abandoned after exhausting the replay budget",
-                    ).labels(farm=self.name).inc()
-                continue
-            delay = min(self.backoff_base * (2 ** (record.attempts - 1)), self.backoff_cap)
-            record.worker_id = None
-            record.next_retry_at = now + delay
-            self.replays += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_process_tasks_replayed_total",
-                    "task dispatches replayed after a worker death",
-                ).labels(farm=self.name).inc()
-        w.outstanding.clear()
+        super()._declare_dead(w, now)
 
     def _dispatch_due_retries(self, now: float) -> None:
         """Re-dispatch replayed tasks whose backoff has elapsed (lock held)."""
-        if not any(w.active and not w.retiring for w in self.workers):
-            return
-        due = [
-            r
-            for r in self._tasks.values()
-            if r.worker_id is None and r.next_retry_at <= now
-        ]
-        for record in sorted(due, key=lambda r: r.task_id):
-            self._dispatch(record)
-
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
-    def snapshot(self) -> RuntimeFarmSnapshot:
-        with self._lock:
-            now = self.now()
-            live = [w for w in self.workers if w.active and not w.quarantined]
-            quarantined = sum(1 for w in self.workers if w.active and w.quarantined)
-            lengths = tuple(len(w.outstanding) for w in live)
-            _, var, _, _ = queue_length_stats(lengths)
-            cutoff = now - self.rate_window
-            while self._latencies and self._latencies[0][0] <= cutoff:
-                self._latencies.popleft()
-            mean_lat = (
-                sum(lat for _, lat in self._latencies) / len(self._latencies)
-                if self._latencies
-                else 0.0
-            )
-            return RuntimeFarmSnapshot(
-                time=now,
-                arrival_rate=self.arrival_est.rate(now),
-                departure_rate=self.departure_est.rate(now),
-                num_workers=len(live),
-                queue_lengths=lengths,
-                queue_variance=var,
-                completed=self.completed,
-                pending=len(self._tasks),
-                mean_latency=mean_lat,
-                quarantined=quarantined,
-            )
-
-    @property
-    def num_workers(self) -> int:
-        """Serving capacity: live workers past the admission gate."""
-        return sum(1 for w in self.workers if w.active and not w.quarantined)
-
-    @property
-    def quarantined_workers(self) -> int:
-        return sum(1 for w in self.workers if w.active and w.quarantined)
-
-    def _find_worker(self, worker_id: int) -> Optional[ProcessWorkerHandle]:
-        for w in self.workers:
-            if w.worker_id == worker_id:
-                return w
-        return None
+        for record in self._due_retries(now):
+            if not self._dispatch(record):
+                return
 
     # ------------------------------------------------------------------
     # actuators
@@ -648,12 +368,8 @@ class ProcessFarm:
         self, *, secured: bool = False, quarantined: bool = False
     ) -> ProcessWorkerHandle:
         with self._lock:
-            # quarantined workers count against the limit: they hold a
-            # real executor slot even while held out of dispatch
-            if sum(1 for w in self.workers if w.active) >= self.max_workers:
-                raise RuntimeError(f"worker limit {self.max_workers} reached")
+            self._check_capacity()
             worker_id = self._next_id
-            self._next_id += 1
             task_q = self._ctx.Queue()
             proc = self._ctx.Process(
                 target=_worker_main,
@@ -677,43 +393,15 @@ class ProcessFarm:
                 last_seen=self.now(),
             )
             proc.start()
-            self.workers.append(handle)
-            self._gauge_quarantined()
-            return handle
-
-    def secure_worker(self, worker_id: int) -> bool:
-        """Switch one worker's channel to encrypted payloads.
-
-        The task pipe is parent-local, so as on the thread farm securing
-        is flipping the emitter-side cipher on; the worker decrypts per
-        item via the ``enc`` flag it already honours.
-        """
-        with self._lock:
-            w = self._find_worker(worker_id)
-            if w is None or not w.active:
-                return False
-            w.secured = True
-            return True
+            return self._register(handle)
 
     def admit_worker(self, worker_id: int) -> bool:
-        """Lift the admission gate: the worker joins the dispatch set."""
         with self._lock:
-            w = self._find_worker(worker_id)
-            if w is None or not w.active:
+            if not super().admit_worker(worker_id):
                 return False
-            w.quarantined = False
-            self._gauge_quarantined()
             # capacity just appeared: anything parked for retry can go now
             self._dispatch_due_retries(self.now())
             return True
-
-    def _gauge_quarantined(self) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_mc_quarantined_workers", "workers held at the admission gate"
-            ).labels(farm=self.name).set(
-                sum(1 for w in self.workers if w.active and w.quarantined)
-            )
 
     def remove_worker(self) -> Optional[ProcessWorkerHandle]:
         """Retire the newest worker gracefully.
@@ -723,66 +411,12 @@ class ProcessFarm:
         supervisor replays anything still un-acked if it dies instead.
         """
         with self._lock:
-            # a retiring worker is already on its way out: it neither
-            # counts toward the floor nor may be "removed" a second time;
-            # quarantined workers are not serving capacity, so they are
-            # neither victims nor part of the floor
-            live = [w for w in self.workers if w.active and not w.retiring and not w.quarantined]
-            if len(live) <= 1:
+            victim = self._retiree()
+            if victim is None:
                 return None
-            victim = live[-1]
             victim.retiring = True
             victim.task_queue.put(_POISON)
             return victim
-
-    def balance_load(self) -> int:
-        """Steal queued (not yet started) tasks from long queues to short.
-
-        The parent is a legitimate extra consumer of a worker's task
-        queue, so stealing is just ``get_nowait`` + re-dispatch; sizes
-        are approximate under concurrency, as on every real runtime.
-        """
-        moved = 0
-        with self._lock:
-            live = [
-                w for w in self.workers if w.active and not w.retiring and not w.quarantined
-            ]
-            if len(live) < 2:
-                return 0
-            for _ in range(1000):
-                live.sort(key=lambda w: len(w.outstanding))
-                shortest, longest = live[0], live[-1]
-                if len(longest.outstanding) - len(shortest.outstanding) <= 1:
-                    break
-                try:
-                    item = longest.task_queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item == _POISON:
-                    longest.task_queue.put(item)
-                    break
-                task_id = item[0]
-                longest.outstanding.discard(task_id)
-                shortest.outstanding.add(task_id)
-                record = self._tasks.get(task_id)
-                if record is not None:
-                    record.worker_id = shortest.worker_id
-                    if record.root is not None:
-                        # re-stamp the envelope so the exec span parents
-                        # under the steal, not the superseded dispatch
-                        tp = self._trace_dispatch(
-                            record, shortest, outcome="rebalanced"
-                        )
-                        item = (item[0], item[1], item[2], tp)
-                shortest.task_queue.put(item)
-                self._count_dispatch(shortest)
-                moved += 1
-        return moved
-
-    def secure_all(self) -> None:
-        with self._lock:
-            for w in self.workers:
-                w.secured = True
 
     # ------------------------------------------------------------------
     # fault injection
@@ -796,21 +430,9 @@ class ProcessFarm:
         short-circuited for the test.
         """
         with self._lock:
-            if worker_id is None:
-                # default victims are serving workers: killing a
-                # quarantined one proves nothing about fault recovery
-                live = [
-                    w
-                    for w in self.workers
-                    if w.active and not w.retiring and not w.quarantined
-                ]
-                if not live:
-                    return None
-                victim = live[-1]
-            else:
-                victim = self._find_worker(worker_id)
-                if victim is None or not victim.active:
-                    return None
+            victim = self._pick_victim(worker_id)
+            if victim is None:
+                return None
             pid = victim.pid
         if pid is None:
             return None
@@ -833,44 +455,32 @@ class ProcessFarm:
         state ends as ``coordinator-crashed`` spans and nothing is
         flushed — a dead process flushes nothing.
         """
+        self._stop(timeout=None)
+
+    def shutdown(self, timeout: float = 10.0) -> None:
+        """Stop supervision, then every worker (pending tasks abandoned)."""
+        self._stop(timeout)
+        # abandoned tasks must not leak open spans into the export
+        if self.telemetry.enabled:
+            self.telemetry.flush()
+
+    def _stop(self, timeout: Optional[float]) -> None:
+        """Poison every worker and give it ``timeout`` seconds to drain
+        before SIGKILL; ``None`` kills at once (a coordinator crash)."""
         self._shutdown.set()  # stops the pump and supervisor loops
         with self._lock:
             workers = list(self.workers)
             for w in workers:
                 w.active = False
-            for record in self._tasks.values():
-                self.telemetry.end_span(record.dispatch, outcome="coordinator-crashed")
-                self.telemetry.end_span(record.root, outcome="coordinator-crashed")
-            self._tasks.clear()
+            if timeout is None:
+                self._abandon_tasks()
         for w in workers:
-            if w.process.is_alive():
+            if timeout is not None:
                 try:
-                    w.process.kill()
-                except Exception:  # noqa: BLE001
+                    w.task_queue.put_nowait(_POISON)
+                except Exception:  # noqa: BLE001 - queue may already be closed
                     pass
-        for w in workers:
-            w.process.join(1.0)
-        for t in (self._pump, self._supervisor):
-            t.join(1.0)
-        for w in workers:
-            w.task_queue.close()
-            w.task_queue.cancel_join_thread()
-        self._result_q.close()
-        self._result_q.cancel_join_thread()
-
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop supervision, then every worker (pending tasks abandoned)."""
-        self._shutdown.set()
-        with self._lock:
-            workers = list(self.workers)
-            for w in workers:
-                w.active = False
-        for w in workers:
-            try:
-                w.task_queue.put_nowait(_POISON)
-            except Exception:  # noqa: BLE001 - queue may already be closed
-                pass
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + (timeout or 0.0)
         for w in workers:
             w.process.join(max(0.0, deadline - time.monotonic()))
             if w.process.is_alive():
@@ -883,6 +493,3 @@ class ProcessFarm:
             w.task_queue.cancel_join_thread()
         self._result_q.close()
         self._result_q.cancel_join_thread()
-        # abandoned tasks must not leak open spans into the export
-        if self.telemetry.enabled:
-            self.telemetry.flush()

@@ -45,13 +45,13 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ...obs.propagation import task_context
 from ...obs.spans import Span
 from ...obs.telemetry import NOOP, Telemetry
-from ..backend import RuntimeFarmSnapshot
+from ..backend import RuntimeFarmSnapshot, drain_queue
 from ..controller import FarmController
 from ..dist_farm import DistFarm, fn_spec
 from ..farm_runtime import ThreadFarm
@@ -323,17 +323,7 @@ class SupervisedFarm:
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results (completion order, exactly-once)."""
-        out: List[Any] = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self.results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+        return drain_queue(self.results, count, timeout)
 
     # ------------------------------------------------------------------
     # result pump: drains the incarnation, journals, dedups, delivers
@@ -585,18 +575,7 @@ class SupervisedFarm:
         with self._lock:
             completed = self.completed
             pending = max(0, self.submitted - self.completed)
-        return RuntimeFarmSnapshot(
-            time=self.now(),
-            arrival_rate=snap.arrival_rate,
-            departure_rate=snap.departure_rate,
-            num_workers=snap.num_workers,
-            queue_lengths=snap.queue_lengths,
-            queue_variance=snap.queue_variance,
-            completed=completed,
-            pending=pending,
-            mean_latency=snap.mean_latency,
-            quarantined=snap.quarantined,
-        )
+        return replace(snap, time=self.now(), completed=completed, pending=pending)
 
     @property
     def num_workers(self) -> int:

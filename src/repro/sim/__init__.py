@@ -6,10 +6,13 @@ FIFO channels (:mod:`queues`), processing resources with external load
 (:mod:`resources`), a domain-aware network with secure-channel costs and
 leak auditing (:mod:`network`), synthetic stream workloads
 (:mod:`workload`), the farm and pipeline pattern mechanisms
-(:mod:`farm`, :mod:`pipeline`), monitoring probes (:mod:`metrics`) and
-figure-grade trace recording (:mod:`trace`).
+(:mod:`farm`, :mod:`pipeline`) and monitoring probes (:mod:`metrics`).
+Figure-grade trace recording (:class:`TraceRecorder` and the ASCII
+renderers) lives in :mod:`repro.obs` and is re-exported here.
 """
 
+from ..obs.events import EventMark, TraceRecorder
+from ..obs.export import ascii_series, ascii_timeline
 from .engine import (
     Interrupt,
     PeriodicTask,
@@ -43,7 +46,6 @@ from .resources import (
     make_cluster,
     trusted_only,
 )
-from .trace import EventMark, TraceRecorder, ascii_series, ascii_timeline
 from .workload import (
     ConstantWork,
     HotSpotWork,

@@ -20,7 +20,7 @@ from repro.core.contracts import (
     ThroughputRangeContract,
 )
 from repro.runtime.backend import RuntimeFarmSnapshot
-from repro.runtime.controller import FarmController, ThreadFarmController
+from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
 
 from .waiting import wait_until
@@ -33,11 +33,6 @@ def square(x):
 def slow_square(x):
     time.sleep(0.01)
     return x * x
-
-
-class TestAlias:
-    def test_thread_farm_controller_is_farm_controller(self):
-        assert ThreadFarmController is FarmController
 
 
 class TestShutdownPaths:

@@ -381,3 +381,22 @@ class TestDistTelemetry:
         spans = tel.spans.named("dist.worker", farm.name)
         assert spans, "every worker lifetime is a dist.worker span"
         assert any(s.attributes.get("outcome") == "crashed" for s in spans)
+
+    def test_refusal_replays_and_dead_letters_are_counted(self):
+        """A ``--require-secure`` worker bounces a task until its budget
+        is spent: each replay and the dead letter reach the registry."""
+        tel = Telemetry()
+        farm = quick_farm(initial_workers=0, max_attempts=3, telemetry=tel)
+        try:
+            farm.add_worker(require_secure=True)
+            farm.submit((0.0, 4))
+            wait_until(lambda: len(farm.dead_letters) == 1, message="bounced task to dead-letter")
+
+            def counter(name):
+                return tel.metrics.get(name).labels(farm=farm.name).value
+
+            assert farm.dead_letters[0].attempts == 3
+            assert counter("repro_dist_dead_letter_total") == len(farm.dead_letters) == 1
+            assert counter("repro_dist_tasks_replayed_total") == farm.replays == 2
+        finally:
+            farm.shutdown()

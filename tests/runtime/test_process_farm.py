@@ -34,6 +34,11 @@ def very_slow_square(x):
     return x * x
 
 
+def thirty_second_square(x):
+    time.sleep(30.0)
+    return x * x
+
+
 def maybe_fail(x):
     if x == 2:
         raise RuntimeError("task failed")
@@ -245,6 +250,28 @@ class TestCrashFaultTolerance:
             assert f.snapshot().pending == 0  # dead letters are accounted out
         finally:
             f.shutdown()
+
+    def test_duplicate_ack_releases_the_holder(self):
+        """Task 0 is acked twice, first by a worker that does not hold
+        it (an earlier life's ack beating the replay), then by its
+        holder.  The duplicate must still release the holder's slot: a
+        leaked id would read as a crash when the holder later retires.
+        """
+        f = ProcessFarm(thirty_second_square, initial_workers=2, supervise_period=60.0)
+        try:
+            f.submit(3)
+            with f._lock:
+                holder = f._find_worker(f._tasks[0].worker_id)
+            other = next(w for w in f.workers if w is not holder)
+            f._handle_message(("done", other.worker_id, 0, 9, 1, None))
+            f._handle_message(("done", holder.worker_id, 0, 9, 1, None))
+            snap = f.snapshot()
+            assert holder.outstanding == set()
+            assert sum(snap.queue_lengths) == snap.pending == 0
+            assert f.duplicates == 1
+            assert f.drain_results(1, timeout=5.0) == [9]
+        finally:
+            f.shutdown(timeout=0.5)
 
     def test_crash_of_every_worker_recovers_after_add(self):
         """Tasks outlive a total wipe-out: they wait for fresh capacity."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.trace import EventMark, TraceRecorder, ascii_series, ascii_timeline
+from repro.obs import EventMark, TraceRecorder, ascii_series, ascii_timeline
 
 
 class TestTraceRecorder:
