@@ -7,9 +7,8 @@ platform shape the paper's behavioural skeletons actually target
 (GCM/ProActive components steered across a grid).  The coordinator
 speaks the binary batched protocol of :mod:`.dist_proto` over TCP —
 v4: struct-packed frame headers, a payload codec negotiated per worker
-at ``hello``, multi-task ``task_batch``/``result_batch`` frames, with
-v3 JSON peers still served via handshake downgrade — to worker
-processes it spawns locally through
+at ``hello``, multi-task ``task_batch``/``result_batch`` frames — to
+worker processes it spawns locally through
 ``python -m repro.runtime.dist_worker`` — and since that entry point is
 just a CLI, extra workers can be attached by hand from any host that
 can reach ``host:port``.
@@ -58,12 +57,9 @@ from typing import Any, Callable, List, Optional, Set, Tuple
 
 from ..obs.telemetry import Telemetry
 from .dist_proto import (
-    COMPAT_PROTOCOLS,
     PROTOCOL_VERSION,
     ProtocolError,
-    encode_frame,
     encode_frame_v4,
-    encode_payload,
     make_challenge,
     negotiate_codec,
     version_mismatch_error,
@@ -130,12 +126,6 @@ class DistWorkerHandle(WorkerState):
     ever_connected: bool = False
     got_bye: bool = False
     spawned_at: float = 0.0
-    #: protocol generation this session negotiated (3: legacy JSON
-    #: dialect — one task per frame, per-payload encryption; 4: binary
-    #: frames, batches)
-    proto: int = PROTOCOL_VERSION
-    #: frame layout the peer speaks (set from its hello; replies in kind)
-    wire: int = 3
     #: payload codec negotiated at hello for this session's data frames
     codec: str = "json"
     span: Any = None  # detached dist.worker telemetry span
@@ -190,12 +180,12 @@ class DistFarm(FarmCore):
     ``worker_reconnect_attempts``
         spawn workers with ``--reconnect-attempts N`` so they survive a
         coordinator crash and reattach to the promoted standby (0, the
-        default: workers exit on coordinator EOF, the pre-v3 behaviour).
+        default: workers exit on coordinator EOF).
     ``codec``
-        payload codec for v4 sessions: ``"auto"`` (default) negotiates
+        payload codec for data frames: ``"auto"`` (default) negotiates
         per worker — pickle for workers this coordinator spawned or
         adopted, the safe list for remote attachers — or a codec name
-        to pin every session to it.  v3 peers always speak json.
+        to pin every session to it.
     ``batch_size``
         most tasks one ``task_batch`` frame carries; with the default
         ``max_inflight`` of 2 batches degenerate to singletons, so
@@ -353,63 +343,43 @@ class DistFarm(FarmCore):
             return
 
     async def _serve_connection(self, reader, writer) -> None:
-        # the hello travels as codec 0 (json) on either frame layout; a
-        # protocol violation before identification is just a bad client
+        # the hello travels as codec 0 (json); a protocol violation
+        # before identification (a pre-v4 peer's length-prefixed hello,
+        # say) is just a bad client
         try:
-            hello, wire = await read_frame_ex(reader, allowed=("json",))
+            hello = await read_frame_ex(reader, allowed=("json",))
         except ProtocolError:
+            self._count_protocol_error()
             writer.close()
             return
         if hello is None or hello.get("type") not in ("hello", "reattach"):
             writer.close()
             return
         peer_proto = hello.get("proto")
-        if peer_proto not in COMPAT_PROTOCOLS:
+        if peer_proto != PROTOCOL_VERSION:
             # refuse mismatched (or unversioned) peers up front with a
             # diagnosis, instead of failing opaquely on the first frame
-            # the older peer does not understand
-            writer.write(
-                self._encode_wire(
-                    version_mismatch_error(peer_proto, role="coordinator"), wire
-                )
+            # the other side does not understand
+            await self._refuse(
+                writer, version_mismatch_error(peer_proto, role="coordinator")
             )
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
             return
         claimed = int(hello.get("worker_id", -1))
-        # the session runs the v4 dialect only if the peer both announced
-        # v4 *and* framed its hello as v4 — a v4-version hello on v3
-        # frames (hand-rolled clients, tests) gets the legacy dialect
-        session_proto = 4 if (peer_proto == PROTOCOL_VERSION and wire == 4) else 3
-        codec = "json"
-        if session_proto == 4:
-            with self._lock:
-                existing = self._find_worker(claimed) if claimed >= 0 else None
-                # pickle is only negotiated with workers whose *process*
-                # this coordinator owns (spawned or adopted); a remote
-                # attacher negotiates down the safe list
-                trusted = existing is not None and existing.process is not None
-            try:
-                codec = negotiate_codec(
-                    hello.get("codecs") or ["json"],
-                    trusted=trusted,
-                    allowed=self.codec,
-                )
-            except ProtocolError as exc:
-                writer.write(
-                    encode_frame_v4(
-                        {"type": "error", "error": str(exc), "proto": PROTOCOL_VERSION}
-                    )
-                )
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-                writer.close()
-                return
+        with self._lock:
+            existing = self._find_worker(claimed) if claimed >= 0 else None
+            # pickle is only negotiated with workers whose *process*
+            # this coordinator owns (spawned or adopted); a remote
+            # attacher negotiates down the safe list
+            trusted = existing is not None and existing.process is not None
+        try:
+            codec = negotiate_codec(
+                hello.get("codecs") or ["json"], trusted=trusted, allowed=self.codec
+            )
+        except ProtocolError as exc:
+            await self._refuse(
+                writer, {"type": "error", "error": str(exc), "proto": PROTOCOL_VERSION}
+            )
+            return
         with self._lock:
             handle = self._find_worker(claimed) if claimed >= 0 else None
             reattaching = (
@@ -446,32 +416,30 @@ class DistFarm(FarmCore):
             handle.connected = True
             handle.ever_connected = True
             handle.last_seen = self.now()
-            handle.proto = session_proto
-            handle.wire = wire if session_proto == 4 else 3
             handle.codec = codec
             retiring = handle.retiring
-        reply = {
-            "type": "takeover" if reattaching else "welcome",
-            "worker_id": handle.worker_id,
-            # echo the peer's own generation: a v3 peer must read the
-            # version it can serve, not the one we prefer
-            "proto": peer_proto,
-            "epoch": self.epoch,
-        }
-        if session_proto == 4:
-            reply["codec"] = codec
-        writer.write(self._encode_control(handle, reply))
+        writer.write(
+            encode_frame_v4(
+                {
+                    "type": "takeover" if reattaching else "welcome",
+                    "worker_id": handle.worker_id,
+                    "proto": PROTOCOL_VERSION,
+                    "epoch": self.epoch,
+                    "codec": codec,
+                }
+            )
+        )
         if reattaching:
             self._count("reattach_total", "workers reattached after a coordinator failover")
             # ready tasks may have been waiting for this worker to appear
             self._request_fill()
         if retiring or self._shutdown.is_set():
             # retired (or farm torn down) before it finished connecting
-            writer.write(self._encode_control(handle, {"type": "poison"}))
+            writer.write(encode_frame_v4({"type": "poison"}))
         self._count_frame("tx", 0)
         # after negotiation the connection may only carry json (control
         # frames) and the session codec; anything else is a violation
-        allowed = ("json", handle.codec)
+        allowed = ("json", codec)
         while True:
             try:
                 frame = await read_frame_ex(reader, allowed=allowed)
@@ -479,24 +447,28 @@ class DistFarm(FarmCore):
                 # torn batch, oversized length, codec smuggling: the
                 # peer is faulty — disconnect, declare dead, replay its
                 # window elsewhere.  Never wait it out.
-                self._count(
-                    "protocol_errors_total", "connections dropped for wire-protocol violations"
-                )
+                self._count_protocol_error()
                 break
-            if frame[0] is None:
+            if frame is None:
                 break
-            self._count_frame("rx", len(frame[0]))
-            self._handle_message(handle, frame[0])
+            self._count_frame("rx", len(frame))
+            self._handle_message(handle, frame)
         writer.close()
         self._on_disconnect(handle)
 
-    def _encode_wire(self, message: dict, wire: int) -> bytes:
-        """Encode one control frame for a given frame layout (pre-handshake)."""
-        return encode_frame(message) if wire == 3 else encode_frame_v4(message)
+    async def _refuse(self, writer, error: dict) -> None:
+        """Send a terminal ``error`` frame and hang up (pre-registration)."""
+        writer.write(encode_frame_v4(error))
+        try:
+            await writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        writer.close()
 
-    def _encode_control(self, handle: DistWorkerHandle, message: dict) -> bytes:
-        """Encode one control frame on ``handle``'s dialect (json, clear)."""
-        return self._encode_wire(message, handle.wire)
+    def _count_protocol_error(self) -> None:
+        self._count(
+            "protocol_errors_total", "connections dropped for wire-protocol violations"
+        )
 
     def _on_disconnect(self, handle: DistWorkerHandle) -> None:
         with self._lock:
@@ -524,7 +496,7 @@ class DistFarm(FarmCore):
             return
         if kind in ("result", "result_batch"):
             # a result_batch acks a whole window in one frame; a lone
-            # result frame is just a batch of one with the legacy shape
+            # result frame is just a batch of one in the singleton shape
             entries = frame["results"] if kind == "result_batch" else (frame,)
             deliver: List[Any] = []
             with self._lock:
@@ -663,8 +635,7 @@ class DistFarm(FarmCore):
         """Dispatch ready tasks into free worker windows (loop thread only).
 
         Each pass fills the least-loaded worker's free window slots with
-        up to ``batch_size`` tasks in one ``task_batch`` frame (v4
-        sessions; v3 sessions get one legacy frame per task) and moves
+        up to ``batch_size`` tasks in one ``task_batch`` frame and moves
         on, so a burst of submits streams out as a handful of writes
         instead of a write per task.
         """
@@ -696,17 +667,15 @@ class DistFarm(FarmCore):
                     entries.append((record, self._assign(record, worker)))
                 if not entries:
                     continue
-                frames = self._encode_dispatch(worker, entries)
+                data = self._encode_dispatch(worker, entries)
                 try:
-                    for data in frames:
-                        worker.writer.write(data)
+                    worker.writer.write(data)
                 except Exception:  # noqa: BLE001 - transport died under us
                     for record, _ in entries:
                         if self._requeue(worker, record.task_id, "write-failed") is not None:
                             self._enqueue_ready(record.task_id)
                     return
-                for data in frames:
-                    self._count_frame("tx", len(data))
+                self._count_frame("tx", len(data))
                 self._count_dispatch(worker, len(entries))
                 if len(entries) > 1:
                     self._count(
@@ -719,28 +688,14 @@ class DistFarm(FarmCore):
         self,
         worker: DistWorkerHandle,
         entries: List[Tuple[_TaskRecord, Optional[str]]],
-    ) -> List[bytes]:
-        """Encode one dispatch window on ``worker``'s dialect (lock held).
+    ) -> bytes:
+        """Encode one dispatch window as one frame (lock held).
 
-        v3 sessions: one legacy ``task`` frame per entry, per-payload
-        encryption.  v4 singletons keep the legacy ``task`` shape (same
-        keys, binary framing); a window of two or more rides one
-        ``task_batch``, encrypted whole-frame when the channel is
-        secured, with each entry's traceparent riding beside it.
+        A singleton rides a ``task`` frame; a window of two or more
+        rides one ``task_batch``, with each entry's traceparent riding
+        beside it.  Either is encrypted whole-frame when the channel is
+        secured.
         """
-        if worker.wire != 4:
-            frames = []
-            for record, traceparent in entries:
-                message = {
-                    "type": "task",
-                    "task_id": record.task_id,
-                    "payload": encode_payload(record.payload, secured=worker.secured),
-                    "enc": worker.secured,
-                }
-                if traceparent is not None:
-                    message["traceparent"] = traceparent
-                frames.append(encode_frame(message))
-            return frames
         if len(entries) == 1:
             record, traceparent = entries[0]
             message = {
@@ -758,9 +713,7 @@ class DistFarm(FarmCore):
                     entry["tp"] = traceparent
                 batch.append(entry)
             message = {"type": "task_batch", "tasks": batch}
-        return [
-            encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
-        ]
+        return encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
 
     # ------------------------------------------------------------------
     # supervision: liveness + replay of due retries
@@ -999,8 +952,8 @@ class DistFarm(FarmCore):
             else:
                 w.secure_challenge = make_challenge()
                 w.secure_waiter = waiter
-                frame = self._encode_control(
-                    w, {"type": "secure", "challenge": w.secure_challenge}
+                frame = encode_frame_v4(
+                    {"type": "secure", "challenge": w.secure_challenge}
                 )
             writer = w.writer
         if frame is not None:
@@ -1060,7 +1013,7 @@ class DistFarm(FarmCore):
                 return None
             victim.retiring = True
             writer = victim.writer
-            poison = self._encode_control(victim, {"type": "poison"})
+            poison = encode_frame_v4({"type": "poison"})
         if writer is not None:
             self._on_loop(writer.write, poison)
         # not yet connected: _on_connection poisons it right after welcome
@@ -1166,17 +1119,14 @@ class DistFarm(FarmCore):
         self._shutdown.set()
         with self._lock:
             workers = list(self.workers)
-            writers = [
-                (w.writer, self._encode_control(w, {"type": "poison"}))
-                for w in workers
-                if w.writer is not None
-            ]
+            poison = encode_frame_v4({"type": "poison"})
+            writers = [w.writer for w in workers if w.writer is not None]
             for w in workers:
                 w.active = False
                 self._end_worker_span(w, outcome="shutdown")
 
         def poison_all() -> None:
-            for writer, poison in writers:
+            for writer in writers:
                 try:
                     writer.write(poison)
                 except Exception:  # noqa: BLE001

@@ -1,16 +1,15 @@
-"""The DistFarm wire protocol, version 4: binary frames, codecs, batches.
+"""The repro wire protocol, version 4: binary frames, codecs, batches.
 
-Protocol v4 replaces the v3 per-task JSON wire with a compact binary
-frame whose payload codec is negotiated per connection, and whose data
-plane moves *batches* of tasks and results so dispatch and acks
-amortise syscalls.  v3 peers keep working: both frame layouts coexist
-on one socket, distinguished by the first byte, and the handshake
-downgrades a session to the older peer's dialect.
+One frame layout carries both planes: the DistFarm task plane
+(coordinator ↔ worker) and the shard hierarchy's management plane
+(parent ↔ shard agent).  Payload codecs are negotiated per connection,
+and the task plane moves *batches* of tasks and results so dispatch and
+acks amortise syscalls.
 
-Frame layouts
--------------
+Frame layout
+------------
 
-v4 (this release)::
+::
 
     0      1      2      3..6        7..
     +------+------+------+-----------+---------------------+
@@ -24,21 +23,15 @@ v4 (this release)::
     length body byte count, refused above :data:`MAX_FRAME` **before**
            any body allocation
 
-v3 (legacy, still accepted)::
-
-    0..3         4..
-    +------------+--------------------+
-    | length u32 | UTF-8 JSON object  |
-    +------------+--------------------+
-
-The magic byte ``0xD4`` can never open a legal v3 frame — a v3 length
-starting ``0xD4`` would announce a >3 GiB body, far beyond
-:data:`MAX_FRAME` — so :func:`read_frame` sniffs one byte and parses
-either layout.  Malformed/EOF frames return ``None`` ("the peer is
-gone"); *protocol violations* — oversized lengths, unknown frame types
-or codec ids, undecodable bodies, empty batches — raise
-:class:`ProtocolError` with a named diagnosis, and both endpoints treat
-that as a peer fault (disconnect + replay), never a hang.
+:func:`read_frame_ex` (asyncio streams) and :func:`read_frame_blocking`
+(blocking file objects) parse it through the same header and body
+checks.  EOF, including one in the middle of a frame, returns ``None``
+("the peer is gone"); *protocol violations* — a first byte that is not
+:data:`MAGIC_V4` (a pre-v4 peer's length prefix, say), oversized
+lengths, unknown frame types or codec ids, undecodable bodies, empty
+batches — raise :class:`ProtocolError` with a named diagnosis, and every
+endpoint treats that as a peer fault (disconnect + replay), never a
+hang.
 
 Codec negotiation
 -----------------
@@ -53,7 +46,7 @@ the handshake itself needs no negotiation.
 =========  ==  ========================  =================================
 codec      id  wire format               offered to
 =========  ==  ========================  =================================
-json        0  UTF-8 JSON                everyone (the compat fallback)
+json        0  UTF-8 JSON                everyone (the fallback)
 pickle      1  pickle HIGHEST_PROTOCOL   trusted workers only — ones this
                                          coordinator spawned or adopted
                                          (unpickling runs code; a remote
@@ -63,9 +56,9 @@ msgpack     2  msgpack (if importable)   everyone; gated on the optional
 =========  ==  ========================  =================================
 
 A peer offering only unknown codec names is refused with an ``error``
-frame naming them; :func:`read_frame` additionally enforces a
-per-connection ``allowed`` codec set, so a peer that negotiated json
-cannot smuggle a pickle-flagged frame past the boundary.
+frame naming them; both readers additionally enforce a per-connection
+``allowed`` codec set, so a peer that negotiated json cannot smuggle a
+pickle-flagged frame past the boundary.
 
 Frame vocabulary (``type``)
 ---------------------------
@@ -73,10 +66,8 @@ Frame vocabulary (``type``)
 worker → coordinator
     ``hello``        first frame; worker id (−1 = "assign me one"),
                      ``proto`` (the sender's :data:`PROTOCOL_VERSION`)
-                     and, from v4, ``codecs`` (see above).  Mismatched
-                     versions are refused with an ``error`` frame naming
-                     both; a v3 peer (proto 3) is *accepted* and served
-                     the v3 dialect: json payloads, one task per frame
+                     and ``codecs`` (see above).  Any other version is
+                     refused with an ``error`` frame naming both
     ``reattach``     reconnect after losing the coordinator: like
                      ``hello`` but asserts an already-assigned worker id
                      and carries the cumulative ``completed`` counter
@@ -84,9 +75,9 @@ worker → coordinator
     ``result``       one task outcome (``value`` or ``error`` text, the
                      cumulative ``completed`` counter and optionally
                      ``span``, the worker-side execution span record)
-    ``result_batch`` v4: ``results`` — a non-empty list of result
-                     entries (each shaped like a ``result`` body) plus
-                     one ``completed`` counter for the whole batch; one
+    ``result_batch`` ``results`` — a non-empty list of result entries
+                     (each shaped like a ``result`` body) plus one
+                     ``completed`` counter for the whole batch; one
                      frame acks many tasks
     ``secured``      answer to a ``secure`` challenge (``proof``)
     ``refused``      task(s) bounced before execution — admission gate
@@ -96,9 +87,8 @@ worker → coordinator
     ``bye``          graceful exit after a poison frame
 
 coordinator → worker
-    ``welcome``      hello ack: worker id, ``proto`` (downgraded to the
-                     peer's version for a v3 peer), ``epoch``, and for
-                     v4 sessions the negotiated ``codec``
+    ``welcome``      hello ack: worker id, ``proto``, ``epoch`` and the
+                     negotiated ``codec``
     ``takeover``     ``reattach`` ack from a promoted standby; same
                      shape as ``welcome``.  Epoch fencing applies to
                      batches exactly as to single tasks: a worker whose
@@ -107,11 +97,9 @@ coordinator → worker
     ``error``        terminal refusal with human-readable ``error`` text
                      (protocol-version mismatch, unknown codecs)
     ``task``         one task: ``task_id``, ``payload`` and optionally
-                     ``traceparent``.  On the v3 dialect the payload of
-                     a secured channel is individually encrypted and
-                     flagged ``enc``; on v4 the whole frame body is
-                     encrypted instead (:data:`FLAG_ENC`)
-    ``task_batch``   v4: ``tasks`` — a non-empty list of entries
+                     ``traceparent``; on a secured channel the whole
+                     frame body is encrypted (:data:`FLAG_ENC`)
+    ``task_batch``   ``tasks`` — a non-empty list of entries
                      (``task_id``, ``payload``, optional ``tp``
                      traceparent), one frame dispatching a whole window;
                      traceparents ride inside the batch so every entry
@@ -119,11 +107,13 @@ coordinator → worker
     ``secure``       secure-channel handshake challenge
     ``poison``       finish already-received tasks, send ``bye``, exit
 
-The shard hierarchy (:mod:`repro.runtime.hierarchy`) reuses the v3
-frame layer on its low-rate parent ↔ shard-agent management links with
-four more types (``contract``/``poll``/``report``/``violation``); the
-management plane carries a handful of frames per second, so it stays on
-the self-describing dialect deliberately.
+parent ↔ shard agent (:mod:`repro.runtime.hierarchy.wire`)
+    ``hello``/``welcome``/``error``/``bye`` as above, then the requests
+    ``contract``, ``budget`` and ``poll``, answered by ``contract-ack``,
+    ``budget-ack`` and ``report`` (each ``report`` preceded by one
+    ``violation`` frame per violation since the last poll).  This plane
+    is json-only, in clear text, so contracts stay readable in a packet
+    capture.
 
 Secured payloads use the same toy cipher as the thread and process
 farms (:mod:`repro.security.crypto`), so ``secure_all()`` has the same
@@ -132,6 +122,7 @@ observable cost on every substrate.
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import json
 import os
@@ -149,7 +140,6 @@ except ImportError:  # pragma: no cover - depends on the environment
 __all__ = [
     "MAX_FRAME",
     "PROTOCOL_VERSION",
-    "COMPAT_PROTOCOLS",
     "SECRET",
     "MAGIC_V4",
     "FLAG_ENC",
@@ -160,13 +150,10 @@ __all__ = [
     "ProtocolError",
     "available_codecs",
     "negotiate_codec",
-    "encode_frame",
     "encode_frame_v4",
-    "read_frame",
     "read_frame_ex",
+    "read_frame_blocking",
     "version_mismatch_error",
-    "encode_payload",
-    "decode_payload",
     "make_challenge",
     "prove_challenge",
     "verify_proof",
@@ -175,16 +162,11 @@ __all__ = [
 #: wire protocol generation.  Version 2 added the handshake version
 #: field plus the hierarchy frames; version 3 added coordinator failover
 #: (``reattach``/``takeover``, sticky epochs).  Version 4 replaces the
-#: per-task JSON wire with the binary frame header above, negotiated
-#: payload codecs and ``task_batch``/``result_batch`` frames.  The
-#: coordinator still serves v3 peers (:data:`COMPAT_PROTOCOLS`); peers
-#: outside that set are refused up front with an ``error`` frame.
+#: per-task length-prefixed JSON wire with the binary frame header
+#: above, negotiated payload codecs and ``task_batch``/``result_batch``
+#: frames.  Peers announcing any other version are refused up front
+#: with an ``error`` frame.
 PROTOCOL_VERSION = 4
-
-#: protocol versions a v4 coordinator accepts at the handshake.  A v3
-#: peer gets the v3 dialect for the whole session: json frames, one
-#: task per frame, per-payload encryption.
-COMPAT_PROTOCOLS = (3, 4)
 
 #: shared toy-cipher key (same key the other substrates use)
 SECRET = b"repro-channel-key"
@@ -193,8 +175,8 @@ SECRET = b"repro-channel-key"
 #: make either side try to allocate gigabytes
 MAX_FRAME = 64 * 1024 * 1024
 
-#: first byte of every v4 frame; can never open a legal v3 frame (a v3
-#: length beginning 0xD4 would exceed MAX_FRAME by two orders)
+#: first byte of every frame; a pre-v4 peer's length prefix starts with
+#: a zero byte for any body under 16 MiB, so it is refused by name
 MAGIC_V4 = 0xD4
 
 #: flags bit: the body was encrypted under :data:`SECRET` before framing
@@ -202,8 +184,7 @@ FLAG_ENC = 0x10
 
 _CODEC_MASK = 0x0F
 
-_HEADER_V3 = struct.Struct(">I")
-_HEADER_V4 = struct.Struct(">BBBI")  # magic, type, flags, body length
+_HEADER = struct.Struct(">BBBI")  # magic, type, flags, body length
 
 #: v4 frame-type registry (id ↔ name).  Ids are wire format: never
 #: renumber, only append.
@@ -227,6 +208,9 @@ FRAME_TYPES = {
     17: "poll",
     18: "report",
     19: "violation",
+    20: "contract-ack",
+    21: "budget",
+    22: "budget-ack",
 }
 FRAME_IDS = {name: fid for fid, name in FRAME_TYPES.items()}
 
@@ -349,18 +333,6 @@ def _validate_batch(message: dict) -> None:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_frame(message: dict) -> bytes:
-    """Serialise one message to a *v3* length-prefixed JSON frame.
-
-    Still the dialect of v3 worker sessions and of the hierarchy's
-    management links; the task data plane uses :func:`encode_frame_v4`.
-    """
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME:
-        raise ValueError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    return _HEADER_V3.pack(len(body)) + body
-
-
 def encode_frame_v4(
     message: dict, *, codec: str = "json", secured: bool = False
 ) -> bytes:
@@ -387,99 +359,92 @@ def encode_frame_v4(
         flags |= FLAG_ENC
     if len(body) > MAX_FRAME:
         raise ValueError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    return _HEADER_V4.pack(MAGIC_V4, fid, flags, len(body)) + body
+    return _HEADER.pack(MAGIC_V4, fid, flags, len(body)) + body
+
+
+def _parse_header(
+    header: bytes, allowed: Optional[Sequence[str]]
+) -> Tuple[str, int, int]:
+    """Check one 7-byte header; returns ``(type, flags, body length)``."""
+    magic, fid, flags, length = _HEADER.unpack(header)
+    if magic != MAGIC_V4:
+        raise ProtocolError(
+            f"first byte 0x{magic:02X} is not the v{PROTOCOL_VERSION} frame "
+            f"magic 0x{MAGIC_V4:02X} (a pre-v{PROTOCOL_VERSION} peer?)"
+        )
+    mtype = FRAME_TYPES.get(fid)
+    if mtype is None:
+        raise ProtocolError(f"unknown frame type id {fid}")
+    codec = CODEC_NAMES.get(flags & _CODEC_MASK)
+    if codec is None:
+        raise ProtocolError(f"unknown codec id {flags & _CODEC_MASK}")
+    if allowed is not None and codec not in allowed:
+        raise ProtocolError(
+            f"codec {codec!r} not negotiated on this connection "
+            f"(allowed: {', '.join(allowed)})"
+        )
+    if length > MAX_FRAME:
+        # refuse before reading (or allocating) the body
+        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME})")
+    return mtype, flags, length
+
+
+def _parse_body(mtype: str, flags: int, body: bytes) -> dict:
+    """Decrypt and decode one frame body into its message."""
+    if flags & FLAG_ENC:
+        try:
+            body = decrypt(SECRET, body)
+        except (CryptoError, ValueError) as exc:
+            raise ProtocolError(f"undecryptable frame body: {exc}") from exc
+    message = _decode_body(body, CODEC_NAMES[flags & _CODEC_MASK])
+    if not isinstance(message, dict):
+        raise ProtocolError(f"{mtype} body is not a mapping")
+    message["type"] = mtype
+    _validate_batch(message)
+    return message
 
 
 async def read_frame_ex(
     reader, *, allowed: Optional[Sequence[str]] = None
-) -> Tuple[Optional[dict], int]:
-    """Read one frame (either layout); returns ``(message, wire)``.
-
-    ``wire`` is 3 or 4 — which frame layout the peer used — so callers
-    can answer in kind.  ``(None, wire)`` means EOF/garbage ("the peer
-    is gone").  ``allowed`` restricts the codecs this connection may
-    use (after negotiation, a json session must not receive pickle
-    frames); violations raise :class:`ProtocolError`, as do oversized
-    lengths (checked *before* the body is read or allocated), unknown
-    frame types/codec ids, undecodable bodies and empty batches.
-    """
-    import asyncio
-
-    try:
-        first = await reader.readexactly(1)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None, 3
-    if first[0] == MAGIC_V4:
-        try:
-            rest = await reader.readexactly(_HEADER_V4.size - 1)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None, 4
-        fid, flags, length = struct.unpack(">BBI", rest)
-        mtype = FRAME_TYPES.get(fid)
-        if mtype is None:
-            raise ProtocolError(f"unknown v4 frame type id {fid}")
-        codec = CODEC_NAMES.get(flags & _CODEC_MASK)
-        if codec is None:
-            raise ProtocolError(f"unknown codec id {flags & _CODEC_MASK}")
-        if allowed is not None and codec not in allowed:
-            raise ProtocolError(
-                f"codec {codec!r} not negotiated on this connection "
-                f"(allowed: {', '.join(allowed)})"
-            )
-        if length > MAX_FRAME:
-            # refuse before reading (or allocating) the body
-            raise ProtocolError(
-                f"v4 frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-            )
-        try:
-            body = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None, 4
-        if flags & FLAG_ENC:
-            try:
-                body = decrypt(SECRET, body)
-            except (CryptoError, ValueError) as exc:
-                raise ProtocolError(f"undecryptable frame body: {exc}") from exc
-        message = _decode_body(body, codec)
-        if not isinstance(message, dict):
-            raise ProtocolError(f"v4 {mtype} body is not a mapping")
-        message["type"] = mtype
-        _validate_batch(message)
-        return message, 4
-    # ---- v3: the first byte is the high byte of a 32-bit length ----
-    try:
-        rest = await reader.readexactly(_HEADER_V3.size - 1)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None, 3
-    (length,) = _HEADER_V3.unpack(first + rest)
-    if length > MAX_FRAME:
-        raise ProtocolError(
-            f"v3 frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-        )
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None, 3
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None, 3
-    return (message, 3) if isinstance(message, dict) else (None, 3)
-
-
-async def read_frame(
-    reader, *, allowed: Optional[Sequence[str]] = None
 ) -> Optional[dict]:
-    """Read one frame from an ``asyncio.StreamReader`` (either layout).
+    """Read one frame from an ``asyncio.StreamReader``.
 
     Returns ``None`` on a clean or dirty EOF — the caller treats both as
     "the peer is gone"; distinguishing them is the supervisor's job (a
     dead connection with outstanding tasks means replay either way).
-    Raises :class:`ProtocolError` on protocol violations; see
-    :func:`read_frame_ex`.
+    ``allowed`` restricts the codecs this connection may use (after
+    negotiation, a json session must not receive pickle frames);
+    violations raise :class:`ProtocolError`, as do a non-magic first
+    byte, oversized lengths (checked *before* the body is read or
+    allocated), unknown frame types/codec ids, undecodable bodies and
+    empty batches.
     """
-    message, _ = await read_frame_ex(reader, allowed=allowed)
-    return message
+    try:
+        mtype, flags, length = _parse_header(
+            await reader.readexactly(_HEADER.size), allowed
+        )
+        body = await reader.readexactly(length)
+    except (asyncio.IncompleteReadError, ConnectionError, OSError):
+        return None
+    return _parse_body(mtype, flags, body)
+
+
+def read_frame_blocking(rfile, *, allowed: Optional[Sequence[str]] = None) -> Optional[dict]:
+    """Blocking twin of :func:`read_frame_ex` for ``socket.makefile('rb')``.
+
+    Same checks, same ``None``/:class:`ProtocolError` contract.
+    """
+    try:
+        header = rfile.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            return None
+        mtype, flags, length = _parse_header(header, allowed)
+        body = rfile.read(length)
+        if len(body) < length:
+            return None
+    except (ConnectionError, OSError, ValueError):
+        return None
+    return _parse_body(mtype, flags, body)
 
 
 def version_mismatch_error(peer_proto: Any, *, role: str) -> dict:
@@ -494,27 +459,6 @@ def version_mismatch_error(peer_proto: Any, *, role: str) -> dict:
         ),
         "proto": PROTOCOL_VERSION,
     }
-
-
-def encode_payload(payload: Any, *, secured: bool) -> Any:
-    """v3 dialect: prepare one task payload (encrypt + base64 if secured).
-
-    The v4 dialect encrypts the whole frame body instead
-    (:data:`FLAG_ENC`); this per-payload path survives for v3 worker
-    sessions and the tests that pin that wire.
-    """
-    if not secured:
-        return payload
-    clear = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return base64.b64encode(encrypt(SECRET, clear)).decode("ascii")
-
-
-def decode_payload(payload: Any, *, secured: bool) -> Any:
-    """Inverse of :func:`encode_payload` (runs worker-side)."""
-    if not secured:
-        return payload
-    clear = decrypt(SECRET, base64.b64decode(payload.encode("ascii")))
-    return json.loads(clear.decode("utf-8"))
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,10 @@ codec negotiated at ``hello`` (offer restricted with ``--codec``), and
 multi-task ``task_batch`` frames executed in arrival order with results
 accumulated and acked in ``result_batch`` frames — flushed whenever the
 input queue drains or enough results pile up, so a busy worker amortises
-acks without ever sitting on a finished result while idle.  Setting
-``REPRO_FORCE_PROTO=3`` in the environment pins the worker to the v3
-dialect — JSON frames, one task/result per frame, no codec offer —
-which is how CI proves a v4 coordinator still serves v3-only peers.
+acks without ever sitting on a finished result while idle.  A protocol
+version disagreement ends the session: the coordinator's ``error``
+frame, or the mismatch the worker sees in ``welcome``, is printed and
+the worker exits 1.
 
 Structure (one asyncio loop, three coroutines):
 
@@ -60,8 +60,6 @@ from .dist_proto import (
     PROTOCOL_VERSION,
     ProtocolError,
     available_codecs,
-    decode_payload,
-    encode_frame,
     encode_frame_v4,
     prove_challenge,
     read_frame_ex,
@@ -141,10 +139,10 @@ async def run_worker(
     executed; at most one coordinator incarnation can get work out of
     this worker.
 
-    With ``reconnect_attempts <= 0`` (the default and the pre-v3
-    behaviour) EOF hard-exits the process: there is nobody to ack to,
-    and the hard exit guarantees no non-daemon executor thread keeps an
-    orphan alive for the tail of a long task.
+    With ``reconnect_attempts <= 0`` (the default) EOF hard-exits the
+    process: there is nobody to ack to, and the hard exit guarantees no
+    non-daemon executor thread keeps an orphan alive for the tail of a
+    long task.
     """
     loop = asyncio.get_running_loop()
     pool = concurrent.futures.ThreadPoolExecutor(
@@ -153,12 +151,6 @@ async def run_worker(
     completed = 0
     max_epoch = -1  # highest coordinator epoch this worker has served
     attached = False  # whether a coordinator ever assigned us an id
-    # REPRO_FORCE_PROTO=3 emulates a genuine v3-release worker: v3
-    # framing everywhere, proto 3 in the hello, no codec offer, one
-    # result per frame — the wire-compat CI leg runs the whole
-    # conformance story this way against a v4 coordinator
-    force_v3 = os.environ.get("REPRO_FORCE_PROTO") == "3"
-    my_proto = 3 if force_v3 else PROTOCOL_VERSION
     offered = available_codecs() if codec == "auto" else (codec,)
 
     async def session() -> str:
@@ -174,15 +166,14 @@ async def run_worker(
         greeting = {
             "type": "reattach" if attached else "hello",
             "worker_id": worker_id,
-            "proto": my_proto,
+            "proto": PROTOCOL_VERSION,
+            "codecs": list(offered),
         }
-        if not force_v3:
-            greeting["codecs"] = list(offered)
         if attached:
             greeting["completed"] = completed
-        writer.write(encode_frame(greeting) if force_v3 else encode_frame_v4(greeting))
+        writer.write(encode_frame_v4(greeting))
         try:
-            welcome, _ = await read_frame_ex(reader, allowed=("json",))
+            welcome = await read_frame_ex(reader, allowed=("json",))
         except ProtocolError:
             writer.close()
             return "bad-handshake"
@@ -199,11 +190,11 @@ async def run_worker(
         if welcome is None or welcome.get("type") not in ("welcome", "takeover"):
             writer.close()
             return "bad-handshake"
-        coord_proto = welcome.get("proto", my_proto)  # absent = legacy peer
-        if coord_proto != my_proto:
+        coord_proto = welcome.get("proto", PROTOCOL_VERSION)
+        if coord_proto != PROTOCOL_VERSION:
             print(
                 f"protocol version mismatch: this worker speaks version "
-                f"{my_proto}, the coordinator announced {coord_proto}",
+                f"{PROTOCOL_VERSION}, the coordinator announced {coord_proto}",
                 file=sys.stderr,
             )
             writer.close()
@@ -223,14 +214,12 @@ async def run_worker(
         stale = max_epoch >= 0 and epoch < max_epoch
         max_epoch = max(max_epoch, epoch)
 
-        # queue items: (wire, [task entries]) batches, or None (poison)
-        tasks: "asyncio.Queue[Optional[Tuple[int, List[dict]]]]" = asyncio.Queue()
+        # queue items: lists of task entries, or None (poison)
+        tasks: "asyncio.Queue[Optional[List[dict]]]" = asyncio.Queue()
         secured = False
         out_buf: List[dict] = []
 
         def encode_out(message: dict) -> bytes:
-            if force_v3:
-                return encode_frame(message)
             if message.get("type") in ("result", "result_batch"):
                 return encode_frame_v4(message, codec=session_codec)
             return encode_frame_v4(message)
@@ -252,7 +241,7 @@ async def run_worker(
                 return
             entries = out_buf[:]
             out_buf.clear()
-            if not force_v3 and len(entries) > 1:
+            if len(entries) > 1:
                 try:
                     writer.write(
                         encode_out(
@@ -309,14 +298,11 @@ async def run_worker(
             nonlocal secured
             while True:
                 try:
-                    frame, wire = await read_frame_ex(
-                        reader, allowed=("json", session_codec)
-                    )
+                    frame = await read_frame_ex(reader, allowed=("json", session_codec))
                 except ProtocolError:
                     # a malformed/torn frame means the coordinator-side
                     # stream is garbage; treat it exactly like EOF
                     frame = None
-                    wire = 3
                 if frame is None:
                     # the coordinator vanished mid-connection
                     if reconnect_attempts <= 0:
@@ -337,7 +323,7 @@ async def run_worker(
                         # handshake is done
                         refuse(items, "security handshake required")
                         continue
-                    await tasks.put((wire, items))
+                    await tasks.put(items)
                 elif kind == "secure":
                     send(
                         {
@@ -350,7 +336,7 @@ async def run_worker(
                     await tasks.put(None)
                     return "poison"
 
-        def run_entry(wire: int, task_frame: dict) -> dict:
+        def run_entry(task_frame: dict) -> dict:
             """Execute one task entry (on the pool thread); the result.
 
             The coordinator's dispatch span rides in as a traceparent
@@ -366,16 +352,7 @@ async def run_worker(
             )
             started = time.time()
             try:
-                if wire == 3:
-                    # v3 dialect: secured payloads are individually
-                    # encrypted and flagged; on v4 the whole frame body
-                    # was already decrypted by the frame reader
-                    payload = decode_payload(
-                        task_frame["payload"], secured=task_frame.get("enc", False)
-                    )
-                else:
-                    payload = task_frame["payload"]
-                entry = {"task_id": task_id, "value": fn(payload)}
+                entry = {"task_id": task_id, "value": fn(task_frame["payload"])}
             except Exception as exc:  # noqa: BLE001 - surfaced as an error result
                 entry = {"task_id": task_id, "error": f"{type(exc).__name__}: {exc}"}
             if parent_ctx is not None:
@@ -397,24 +374,23 @@ async def run_worker(
                 )
             return entry
 
-        def run_entries(wire: int, items: List[dict]) -> List[dict]:
-            return [run_entry(wire, task_frame) for task_frame in items]
+        def run_entries(items: List[dict]) -> List[dict]:
+            return [run_entry(task_frame) for task_frame in items]
 
         async def executor_loop() -> None:
             nonlocal completed
             while True:
-                item = await tasks.get()
-                if item is None:
+                items = await tasks.get()
+                if items is None:
                     flush_results()
                     send({"type": "bye", "completed": completed})
                     await writer.drain()
                     return
-                wire, items = item
                 # one executor hop for the whole batch: the per-task
                 # submit/wakeup round trip through the pool was the
                 # dominant worker-side cost for cheap tasks, and the
                 # event loop stays free for heartbeats either way
-                entries = await loop.run_in_executor(pool, run_entries, wire, items)
+                entries = await loop.run_in_executor(pool, run_entries, items)
                 completed += len(entries)
                 out_buf.extend(entries)
                 if len(out_buf) >= RESULT_FLUSH or tasks.empty():
@@ -499,8 +475,8 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--reconnect-attempts", type=int, default=0,
-        help="redials after losing the coordinator (0: exit on EOF, the "
-        "pre-v3 behaviour); each redial backs off exponentially, capped",
+        help="redials after losing the coordinator (0: exit on EOF); each "
+        "redial backs off exponentially, capped",
     )
     args = parser.parse_args(argv)
 

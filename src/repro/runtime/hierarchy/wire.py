@@ -8,33 +8,35 @@ so the shard tree composes over any mix of substrates:
   :class:`~repro.runtime.hierarchy.shard.FarmShard` (thread/process
   shards live in the parent's address space anyway);
 * :class:`TcpShardLink` → :class:`ShardAgent` — the same interface
-  spoken over a real TCP socket with the dist protocol's
-  length-prefixed JSON frames, exercising the ``contract`` /
-  ``violation`` / ``report`` / ``poll`` vocabulary added to
-  :mod:`repro.runtime.dist_proto` in protocol version 2.  A DistFarm
-  shard's management plane therefore crosses the wire just like its
-  task plane does, and a future remote shard host only needs to speak
-  these four frames.
+  spoken over a real TCP socket in the task plane's v4 frames
+  (:mod:`repro.runtime.dist_proto`), exercising its ``contract`` /
+  ``budget`` / ``poll`` / ``violation`` / ``report`` vocabulary.  A
+  DistFarm shard's management plane therefore crosses the wire just
+  like its task plane does, and a future remote shard host only needs
+  to speak these frames.
 
-Both ends of the TCP link enforce the protocol-version handshake: a
-mismatched peer is refused with an ``error`` frame naming both
-versions, never with an opaque mid-stream failure.
+The plane is json-only and never encrypted, so contracts stay readable
+in a packet capture; both ends read with ``allowed=("json",)``, so a
+pickle-flagged frame is a protocol error that closes the connection
+before its body is decoded.  Both ends also enforce the
+protocol-version handshake: a mismatched peer is refused with an
+``error`` frame naming both versions, never with an opaque mid-stream
+failure.
 """
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
 import threading
 from typing import List, Optional, Tuple
 
 from ...core.contracts import Contract
 from ...obs.telemetry import NOOP, Telemetry
 from ..dist_proto import (
-    MAX_FRAME,
     PROTOCOL_VERSION,
-    encode_frame,
+    ProtocolError,
+    encode_frame_v4,
+    read_frame_blocking,
     version_mismatch_error,
 )
 from .codec import contract_from_wire, contract_to_wire
@@ -46,37 +48,11 @@ __all__ = [
     "TcpShardLink",
     "ShardAgent",
     "connect_shard",
-    "read_frame_blocking",
 ]
 
-_HEADER = struct.Struct(">I")
 
-
-def read_frame_blocking(rfile) -> Optional[dict]:
-    """Synchronous twin of :func:`repro.runtime.dist_proto.read_frame`.
-
-    Reads one length-prefixed JSON frame from a blocking file-like
-    object (``socket.makefile('rb')``); returns ``None`` on EOF or a
-    malformed frame, mirroring the async reader's "peer is gone"
-    contract.
-    """
-    try:
-        header = rfile.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            return None
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME:
-            return None
-        body = rfile.read(length)
-        if len(body) < length:
-            return None
-    except (ConnectionError, OSError, ValueError):
-        return None
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return message if isinstance(message, dict) else None
+#: the only codec either end of a management link accepts
+_JSON_ONLY = ("json",)
 
 
 class ShardLink:
@@ -173,10 +149,10 @@ class ShardAgent:
         rfile = conn.makefile("rb")
 
         def send(message: dict) -> None:
-            conn.sendall(encode_frame(message))
+            conn.sendall(encode_frame_v4(message))
 
         try:
-            hello = read_frame_blocking(rfile)
+            hello = read_frame_blocking(rfile, allowed=_JSON_ONLY)
             if hello is None or hello.get("type") != "hello":
                 return
             if hello.get("proto") != PROTOCOL_VERSION:
@@ -186,7 +162,7 @@ class ShardAgent:
                   "shard_id": self.shard.shard_id})
             self._count("hello")
             while not self._shutdown.is_set():
-                frame = read_frame_blocking(rfile)
+                frame = read_frame_blocking(rfile, allowed=_JSON_ONLY)
                 if frame is None:
                     return
                 kind = frame.get("type")
@@ -221,8 +197,8 @@ class ShardAgent:
                     return
                 else:
                     send({"type": "error", "error": f"unknown frame type {kind!r}"})
-        except (ConnectionError, OSError):
-            return
+        except (ConnectionError, OSError, ProtocolError):
+            return  # a protocol violation closes this connection only
         finally:
             try:
                 rfile.close()
@@ -260,11 +236,11 @@ class TcpShardLink(ShardLink):
             )
 
     def _send(self, message: dict) -> None:
-        self._sock.sendall(encode_frame(message))
+        self._sock.sendall(encode_frame_v4(message))
         self.frames_sent += 1
 
     def _recv(self) -> Optional[dict]:
-        return read_frame_blocking(self._rfile)
+        return read_frame_blocking(self._rfile, allowed=_JSON_ONLY)
 
     def _request(self, message: dict, expect: str) -> Tuple[dict, List[dict]]:
         """One request/response exchange; collects interleaved pushes."""
@@ -311,7 +287,7 @@ class TcpShardLink(ShardLink):
         try:
             with self._lock:
                 try:
-                    self._sock.sendall(encode_frame({"type": "bye"}))
+                    self._sock.sendall(encode_frame_v4({"type": "bye"}))
                 except OSError:
                     pass
             self._rfile.close()

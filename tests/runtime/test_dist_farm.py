@@ -22,10 +22,8 @@ from repro.runtime.dist_proto import (
     MAX_FRAME,
     PROTOCOL_VERSION,
     ProtocolError,
-    decode_payload,
-    encode_frame,
-    encode_payload,
-    read_frame,
+    encode_frame_v4,
+    read_frame_ex,
 )
 from repro.runtime.dist_worker import resolve_fn
 
@@ -59,43 +57,38 @@ def quick_farm(**overrides):
 
 
 def roundtrip(frame_bytes):
-    """Feed raw bytes through an asyncio StreamReader into read_frame."""
+    """Feed raw bytes through an asyncio StreamReader into read_frame_ex."""
 
     async def go():
         reader = asyncio.StreamReader()
         if frame_bytes:
             reader.feed_data(frame_bytes)
         reader.feed_eof()
-        return await read_frame(reader)
+        return await read_frame_ex(reader)
 
     return asyncio.run(go())
 
 
 class TestWireProtocol:
     def test_frame_roundtrip(self):
-        msg = {"type": "task", "task_id": 7, "payload": [0.1, 42], "enc": False}
-        assert roundtrip(encode_frame(msg)) == msg
+        msg = {"type": "task", "task_id": 7, "payload": [0.1, 42]}
+        assert roundtrip(encode_frame_v4(msg)) == msg
 
     def test_eof_and_garbage_return_none(self):
+        frame = encode_frame_v4({"type": "hb", "completed": 1})
         assert roundtrip(b"") is None
-        assert roundtrip(b"\x00\x00") is None  # truncated header
-        assert roundtrip(b"\x00\x00\x00\x05notjs") is None  # bad JSON body
-        # a non-dict JSON body is protocol noise, not a frame
-        import json
-
-        body = json.dumps([1, 2]).encode()
-        header = len(body).to_bytes(4, "big")
-        assert roundtrip(header + body) is None
+        assert roundtrip(frame[:2]) is None  # truncated header
+        assert roundtrip(frame[:-1]) is None  # torn body
 
     def test_oversize_length_prefix_rejected(self):
         # rejected from the header alone — before the reader ever tries
         # to buffer (or allocate) the announced body — with a diagnosis
-        # naming the limit, on both frame layouts
-        header = (MAX_FRAME + 1).to_bytes(4, "big")
+        # naming the limit
+        header = bytes([0xD4, 4, 0]) + (MAX_FRAME + 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="exceeds MAX_FRAME"):
             roundtrip(header + b"x")
         with pytest.raises(ValueError):
-            encode_frame({"pad": "x" * (MAX_FRAME + 10)})
+            encode_frame_v4({"type": "hb", "pad": "x" * (MAX_FRAME + 10)})
 
     def test_mismatched_protocol_version_refused_with_clear_error(self):
         farm = quick_farm(initial_workers=1)
@@ -105,17 +98,20 @@ class TestWireProtocol:
             hello = {"type": "hello", "worker_id": -1}
             if proto is not None:
                 hello["proto"] = proto
-            writer.write(encode_frame(hello))
-            reply = await read_frame(reader)
+            writer.write(encode_frame_v4(hello))
+            reply = await read_frame_ex(reader)
             writer.close()
             return reply
 
         try:
-            for bad in (999, None):
+            # 3: the retired length-prefixed generation, on v4 frames
+            for bad in (3, 999, None):
                 reply = asyncio.run(attach(bad))
                 assert reply is not None and reply["type"] == "error"
                 assert "protocol version mismatch" in reply["error"]
-                assert str(PROTOCOL_VERSION) in reply["error"]
+                assert f"speaks version {PROTOCOL_VERSION}" in reply["error"]
+                if bad is not None:
+                    assert f"announced protocol version {bad}" in reply["error"]
                 assert reply["proto"] == PROTOCOL_VERSION
             # the refusals registered nobody beyond the spawned worker
             assert farm.num_workers == 1
@@ -125,15 +121,6 @@ class TestWireProtocol:
             assert reply["proto"] == PROTOCOL_VERSION
         finally:
             farm.shutdown()
-
-    def test_secured_payload_roundtrip(self):
-        payload = {"work": 0.1, "values": [1, 2, 3]}
-        wire = encode_payload(payload, secured=True)
-        assert wire != payload  # actually transformed
-        assert isinstance(wire, str)  # base64 text, JSON-safe
-        assert decode_payload(wire, secured=True) == payload
-        # unsecured is pass-through
-        assert encode_payload(payload, secured=False) is payload
 
 
 class TestFnSpec:

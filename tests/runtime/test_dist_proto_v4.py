@@ -2,21 +2,24 @@
 
 Three layers of coverage:
 
-* pure framing/codec units (no sockets): layout round-trips, sniffing,
-  the :class:`ProtocolError` diagnoses — unknown codec names and frame
-  types, oversized lengths refused before allocation, empty batches;
+* pure framing/codec units (no sockets): layout round-trips, the
+  :class:`ProtocolError` diagnoses — a non-magic first byte, unknown
+  codec names and frame types, oversized lengths refused before
+  allocation, empty batches — and the async/blocking reader parity;
 * coordinator integration over real sockets with *scripted* peers: a
   malformed frame mid-stream is a worker fault (declared dead, window
   replayed — never a hang), duplicate entries inside a replayed
   ``result_batch`` dedupe to exactly-once, unknown codec offers are
-  refused with the offending name in the error frame;
+  refused with the offending name in the error frame, and a pre-v4
+  peer is refused without registering anything;
 * real-worker integration: the pickle fast path round-trips values JSON
-  cannot, ``REPRO_FORCE_PROTO=3`` pins spawned workers to the v3
-  dialect against the v4 coordinator, and a stale-epoch session's
-  ``task_batch`` bounces whole (``refused``/``task_ids``).
+  cannot, and a stale-epoch session's ``task_batch`` bounces whole
+  (``refused``/``task_ids``).
 """
 
 import asyncio
+import io
+import json
 import os
 import subprocess
 import sys
@@ -32,9 +35,9 @@ from repro.runtime.dist_proto import (
     PROTOCOL_VERSION,
     ProtocolError,
     available_codecs,
-    encode_frame,
     encode_frame_v4,
     negotiate_codec,
+    read_frame_blocking,
     read_frame_ex,
 )
 
@@ -43,7 +46,7 @@ from .waiting import wait_until
 
 
 def feed(data, *, allowed=None):
-    """Run one read_frame_ex over raw bytes; returns (frame, wire)."""
+    """Run one read_frame_ex over raw bytes; returns the frame."""
 
     async def go():
         reader = asyncio.StreamReader()
@@ -53,6 +56,17 @@ def feed(data, *, allowed=None):
         return await read_frame_ex(reader, allowed=allowed)
 
     return asyncio.run(go())
+
+
+def v3_frame(message):
+    """A pre-v4 frame: 4-byte big-endian length, then a JSON body."""
+    body = json.dumps(message).encode()
+    return len(body).to_bytes(4, "big") + body
+
+
+def raw_v4(type_id, flags, body):
+    """A hand-built v4 frame, for bodies the encoder refuses to make."""
+    return bytes([MAGIC_V4, type_id, flags]) + len(body).to_bytes(4, "big") + body
 
 
 def patient_farm(**overrides):
@@ -72,24 +86,21 @@ class TestFraming:
     @pytest.mark.parametrize("codec", available_codecs())
     def test_v4_roundtrip_every_codec(self, codec):
         msg = {"type": "task", "task_id": 7, "payload": [0.5, [1, 2]]}
-        frame, wire = feed(encode_frame_v4(msg, codec=codec))
-        assert wire == 4 and frame == msg
+        assert feed(encode_frame_v4(msg, codec=codec)) == msg
 
-    def test_sniffing_distinguishes_both_layouts(self):
+    def test_non_magic_first_byte_is_a_named_protocol_error(self):
         msg = {"type": "hb", "completed": 3}
-        assert feed(encode_frame(msg)) == (msg, 3)
-        assert feed(encode_frame_v4(msg)) == (msg, 4)
-        # the magic byte can never open a legal v3 frame: as a length
-        # prefix it would announce a body far beyond MAX_FRAME
-        assert int.from_bytes(bytes([MAGIC_V4, 0, 0, 0]), "big") > MAX_FRAME
+        assert feed(encode_frame_v4(msg)) == msg
+        # a pre-v4 length prefix opens with a zero byte
+        with pytest.raises(ProtocolError, match="first byte 0x00 .* magic 0xD4"):
+            feed(v3_frame(msg))
 
     def test_secured_frame_is_opaque_and_roundtrips(self):
         msg = {"type": "task", "task_id": 1, "payload": {"k": "secret-value"}}
         data = encode_frame_v4(msg, codec="json", secured=True)
         assert b"secret-value" not in data  # body actually encrypted
         assert data[2] & FLAG_ENC
-        frame, wire = feed(data)
-        assert wire == 4 and frame == msg
+        assert feed(data) == msg
         # a tampered body is a protocol error, not garbage results
         with pytest.raises(ProtocolError):
             feed(data[:-3] + bytes(3))
@@ -124,8 +135,7 @@ class TestFraming:
 
     def test_torn_frame_reads_as_peer_gone(self):
         whole = encode_frame_v4({"type": "task", "task_id": 5, "payload": "x" * 64})
-        frame, _ = feed(whole[: len(whole) // 2])
-        assert frame is None  # EOF mid-body: the peer died, not a hang
+        assert feed(whole[: len(whole) // 2]) is None  # EOF mid-body, not a hang
 
     def test_empty_batch_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="empty task_batch"):
@@ -133,12 +143,54 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="empty result_batch"):
             encode_frame_v4({"type": "result_batch", "results": []})
         # and on decode, for a peer that crafts one by hand
-        import json as _json
-
-        body = _json.dumps({"tasks": []}).encode()
-        data = bytes([MAGIC_V4, 14, 0]) + len(body).to_bytes(4, "big") + body
         with pytest.raises(ProtocolError, match="empty task_batch"):
-            feed(data)
+            feed(raw_v4(14, 0, b'{"tasks":[]}'))
+
+
+#: byte fixtures both readers must treat identically
+READER_FIXTURES = {
+    "valid-json": (encode_frame_v4({"type": "report", "report": {"n": 1}}), None),
+    "oversize-header-only": (
+        bytes([MAGIC_V4, 4, 0]) + (MAX_FRAME + 1).to_bytes(4, "big"),
+        None,
+    ),
+    "unknown-type-id": (raw_v4(0xEE, 0, b"{}"), None),
+    "unknown-codec-id": (raw_v4(4, 0x0F, b"{}"), None),
+    "non-magic-first-byte": (v3_frame({"type": "hello", "proto": 3}), None),
+    "torn-body": (encode_frame_v4({"type": "poll", "pad": "x" * 32})[:-8], None),
+    "undecodable-body": (raw_v4(11, 0, b"notjs"), None),
+    "non-mapping-body": (raw_v4(18, 0, b"[1, 2]"), None),
+    "empty-batch": (raw_v4(15, 0, b'{"results":[]}'), None),
+    "pickle-under-json-only": (
+        encode_frame_v4({"type": "poll"}, codec="pickle"),
+        ("json",),
+    ),
+}
+
+
+def outcome(read):
+    """A reader's verdict on one fixture: the frame, or the error text."""
+    try:
+        return ("frame", read())
+    except ProtocolError as exc:
+        return ("error", str(exc))
+
+
+class TestReaderParity:
+    @pytest.mark.parametrize("name", sorted(READER_FIXTURES))
+    def test_async_and_blocking_readers_agree(self, name):
+        data, allowed = READER_FIXTURES[name]
+        via_async = outcome(lambda: feed(data, allowed=allowed))
+        via_blocking = outcome(
+            lambda: read_frame_blocking(io.BytesIO(data), allowed=allowed)
+        )
+        assert via_async == via_blocking
+        if name == "valid-json":
+            assert via_async == ("frame", {"type": "report", "report": {"n": 1}})
+        elif name == "torn-body":
+            assert via_async == ("frame", None)  # EOF mid-body: peer gone
+        else:
+            assert via_async[0] == "error"
 
 
 class TestNegotiation:
@@ -167,11 +219,38 @@ async def attach_v4(port, hello):
     """Open one scripted v4 peer connection; returns (reader, writer, reply)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(encode_frame_v4(hello))
-    reply, _ = await read_frame_ex(reader)
+    reply = await read_frame_ex(reader)
     return reader, writer, reply
 
 
 class TestCoordinatorEdges:
+    def test_pre_v4_hello_is_closed_and_counted(self):
+        """A length-prefixed JSON hello, as the retired v3 dialect framed
+        it, is a protocol error: the connection closes with no reply,
+        nothing registers, and the violation is counted."""
+        tel = Telemetry()
+        farm = patient_farm(telemetry=tel)
+        try:
+
+            async def go():
+                reader, writer = await asyncio.open_connection("127.0.0.1", farm.port)
+                writer.write(v3_frame({"type": "hello", "worker_id": -1, "proto": 3}))
+                await writer.drain()
+                try:
+                    leftover = await asyncio.wait_for(reader.read(), 15.0)
+                except ConnectionResetError:  # closed with our bytes unread
+                    leftover = b""
+                writer.close()
+                return leftover
+
+            assert asyncio.run(go()) == b""  # closed without a frame
+            assert farm.num_workers == 0
+            errors = tel.metrics.get("repro_dist_protocol_errors_total")
+            assert errors is not None
+            assert errors.labels(farm=farm.name).value == 1
+        finally:
+            farm.shutdown()
+
     def test_unknown_codec_offer_refused_with_named_diagnosis(self):
         farm = patient_farm()
         try:
@@ -244,7 +323,7 @@ class TestCoordinatorEdges:
                 assert reply["type"] == "welcome"
                 farm.submit((0.0, 4))
                 # wait for the dispatch, then answer with garbage
-                frame, _ = await read_frame_ex(reader)
+                frame = await read_frame_ex(reader)
                 assert frame["type"] in ("task", "task_batch")
                 writer.write(garbage)
                 await writer.drain()
@@ -283,7 +362,7 @@ class TestCoordinatorEdges:
                 # tasks can arrive as one batch or as batch+singleton
                 tasks = []
                 while len(tasks) < 3:
-                    frame, _ = await read_frame_ex(reader)
+                    frame = await read_frame_ex(reader)
                     assert frame["type"] in ("task", "task_batch")
                     tasks.extend(frame.get("tasks") or [frame])
                 results = [
@@ -325,9 +404,7 @@ class TestRealWorkers:
                 lambda: any(w.connected for w in farm.workers),
                 message="spawned worker to connect",
             )
-            handle = farm.workers[0]
-            assert handle.proto == PROTOCOL_VERSION and handle.wire == 4
-            assert handle.codec == "pickle"
+            assert farm.workers[0].codec == "pickle"
             farm.submit((0.0, "unserializable"))
             (result,) = farm.drain_results(1, timeout=30.0)
             assert result == {1, 2, 3}
@@ -353,26 +430,6 @@ class TestRealWorkers:
             batched = tel.metrics.get("repro_dist_batched_tasks_total")
             assert batched is not None
             assert batched.labels(farm=farm.name).value > 0
-        finally:
-            farm.shutdown()
-
-    def test_forced_v3_workers_serve_a_v4_coordinator(self, monkeypatch):
-        """REPRO_FORCE_PROTO=3 pins spawned workers to the v3 dialect —
-        the wire-compat guarantee CI runs the whole conformance story
-        under."""
-        monkeypatch.setenv("REPRO_FORCE_PROTO", "3")
-        farm = DistFarm(dist_task, initial_workers=2, supervise_period=0.02)
-        try:
-            wait_until(
-                lambda: sum(1 for w in farm.workers if w.connected) == 2,
-                message="forced-v3 workers to connect",
-            )
-            assert all(w.proto == 3 and w.wire == 3 for w in farm.workers)
-            total = 20
-            for i in range(total):
-                farm.submit((0.0, i))
-            results = farm.drain_results(total, timeout=30.0)
-            assert sorted(results) == [i * i for i in range(total)]
         finally:
             farm.shutdown()
 
@@ -402,8 +459,9 @@ class TestRealWorkers:
             try:
                 # session 1: a high-epoch coordinator, then gone
                 reader, writer = await asyncio.wait_for(conns.get(), 15.0)
-                hello, wire = await read_frame_ex(reader)
-                assert hello["type"] == "hello" and wire == 4
+                hello = await read_frame_ex(reader)
+                assert hello["type"] == "hello"
+                assert hello["proto"] == PROTOCOL_VERSION
                 writer.write(
                     encode_frame_v4(
                         {"type": "welcome", "worker_id": 3,
@@ -414,7 +472,7 @@ class TestRealWorkers:
                 writer.close()
                 # session 2: a stale incarnation (lower epoch) redials
                 reader, writer = await asyncio.wait_for(conns.get(), 15.0)
-                reattach, _ = await read_frame_ex(reader)
+                reattach = await read_frame_ex(reader)
                 assert reattach["type"] == "reattach"
                 writer.write(
                     encode_frame_v4(
@@ -432,7 +490,7 @@ class TestRealWorkers:
                 )
                 await writer.drain()
                 while True:
-                    frame, _ = await read_frame_ex(reader)
+                    frame = await read_frame_ex(reader)
                     assert frame is not None, "worker hung up instead of refusing"
                     if frame["type"] != "hb":
                         break

@@ -1,7 +1,7 @@
 """E2E regression: a dist worker survives its coordinator.
 
 These tests drive a **real** :func:`repro.runtime.dist_worker.run_worker`
-coroutine against a scripted coordinator speaking the raw v3 wire
+coroutine against a scripted coordinator speaking the raw v4 wire
 protocol, pinning the three reattach guarantees the supervised dist
 story depends on:
 
@@ -24,7 +24,7 @@ import asyncio
 
 import pytest
 
-from repro.runtime.dist_proto import PROTOCOL_VERSION, encode_frame, read_frame
+from repro.runtime.dist_proto import PROTOCOL_VERSION, encode_frame_v4, read_frame_ex
 from repro.runtime.dist_worker import run_worker
 
 
@@ -41,11 +41,11 @@ class ScriptedSession:
         self.greeting = greeting
 
     def send(self, message):
-        self.writer.write(encode_frame(message))
+        self.writer.write(encode_frame_v4(message))
 
     async def recv(self, timeout=10.0):
         while True:
-            frame = await asyncio.wait_for(read_frame(self.reader), timeout)
+            frame = await asyncio.wait_for(read_frame_ex(self.reader), timeout)
             if frame is None or frame.get("type") != "hb":
                 return frame
 
@@ -76,7 +76,7 @@ class ScriptedCoordinator:
 
     async def accept(self, timeout=10.0):
         reader, writer = await asyncio.wait_for(self._pending.get(), timeout)
-        greeting = await asyncio.wait_for(read_frame(reader), timeout)
+        greeting = await asyncio.wait_for(read_frame_ex(reader), timeout)
         return ScriptedSession(reader, writer, greeting)
 
     async def stop(self):

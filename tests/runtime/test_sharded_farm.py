@@ -21,23 +21,33 @@ The hierarchy's promises, asserted over every live substrate:
 * **the TCP management plane is a real protocol** — with
   ``over_wire=True`` the same parent loop drives ``contract`` /
   ``budget`` / ``poll`` / ``violation`` frames through a live
-  :class:`~repro.runtime.hierarchy.ShardAgent`, which refuses
-  version-mismatched peers with a clear error.
+  :class:`~repro.runtime.hierarchy.ShardAgent`, in clear-text json v4
+  frames; the agent refuses version-mismatched peers with a clear
+  error, and closes a connection that sends a pre-v4 or pickle-flagged
+  frame without decoding it.
 
 Run one backend with, e.g.::
 
     PYTHONPATH=src python -m pytest tests/runtime/test_sharded_farm.py -k thread
 """
 
+import json
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.core.contracts import ThroughputRangeContract
 from repro.obs.telemetry import Telemetry
-from repro.runtime.dist_proto import PROTOCOL_VERSION, encode_frame
-from repro.runtime.hierarchy import ShardedFarm, read_frame_blocking
+from repro.runtime.dist_proto import (
+    FRAME_IDS,
+    MAGIC_V4,
+    PROTOCOL_VERSION,
+    encode_frame_v4,
+    read_frame_blocking,
+)
+from repro.runtime.hierarchy import ShardedFarm, TcpShardLink, contract_to_wire
 
 from .waiting import wait_until
 
@@ -89,6 +99,43 @@ def counter_value(telemetry, name, **labels):
 
 def gauge_value(telemetry, name, **labels):
     return telemetry.metrics.gauge(name, "").labels(**labels).value
+
+
+#: set if a frame body ever reaches ``pickle.loads`` on the management plane
+UNPICKLED = threading.Event()
+
+
+def _trip():
+    UNPICKLED.set()
+
+
+class Tripwire:
+    """Unpickling this object calls :func:`_trip`."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def read_raw_frame(rfile):
+    """One frame off the socket as ``(header bytes, body bytes)``."""
+    header = rfile.read(7)
+    length = int.from_bytes(header[3:], "big")
+    return header, rfile.read(length)
+
+
+def closed_by_peer(sock):
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:  # closed with our bytes unread
+        return True
+
+
+def agent_session(agent):
+    """A raw socket that has completed the agent handshake."""
+    sock = socket.create_connection((agent.host, agent.port), timeout=5.0)
+    sock.sendall(encode_frame_v4({"type": "hello", "proto": PROTOCOL_VERSION}))
+    rfile = sock.makefile("rb")
+    return sock, rfile, read_raw_frame(rfile)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -285,7 +332,7 @@ class TestWireManagementPlane:
         try:
             agent = farm.agents[0]
             with socket.create_connection((agent.host, agent.port), timeout=5.0) as sock:
-                sock.sendall(encode_frame({"type": "hello", "proto": 999}))
+                sock.sendall(encode_frame_v4({"type": "hello", "proto": 999}))
                 reply = read_frame_blocking(sock.makefile("rb"))
             assert reply is not None
             assert reply["type"] == "error"
@@ -293,3 +340,101 @@ class TestWireManagementPlane:
             assert str(PROTOCOL_VERSION) in reply["error"]
         finally:
             farm.shutdown()
+
+    def test_agent_closes_a_pre_v4_hello(self):
+        farm = make_sharded(
+            "thread",
+            contract=ThroughputRangeContract(2.0, 1000.0),
+            over_wire=True,
+            autostart=False,
+        )
+        try:
+            agent = farm.agents[0]
+            served = agent.frames_served
+            body = json.dumps({"type": "hello", "proto": 3}).encode()
+            with socket.create_connection((agent.host, agent.port), timeout=5.0) as sock:
+                sock.sendall(len(body).to_bytes(4, "big") + body)
+                assert closed_by_peer(sock)
+            assert agent.frames_served == served  # no handshake completed
+        finally:
+            farm.shutdown()
+
+    def test_pickle_flagged_poll_is_closed_never_unpickled(self):
+        farm = make_sharded(
+            "thread",
+            contract=ThroughputRangeContract(2.0, 1000.0),
+            over_wire=True,
+            autostart=False,
+        )
+        try:
+            agent = farm.agents[0]
+            UNPICKLED.clear()
+            sock, rfile, _ = agent_session(agent)
+            with sock, rfile:
+                sock.sendall(
+                    encode_frame_v4({"type": "poll", "bait": Tripwire()}, codec="pickle")
+                )
+                assert closed_by_peer(sock)
+            assert not UNPICKLED.is_set()
+            # the violation cost that connection only: a fresh link is served
+            link = TcpShardLink(agent.host, agent.port, shard_id=0)
+            try:
+                assert link.poll().shard_id == 0
+            finally:
+                link.close()
+        finally:
+            farm.shutdown()
+
+    def test_agent_answers_in_clear_json_v4_frames(self):
+        farm = make_sharded(
+            "thread",
+            contract=ThroughputRangeContract(2.0, 1000.0),
+            over_wire=True,
+            autostart=False,
+        )
+        try:
+            sock, rfile, (header, body) = agent_session(farm.agents[0])
+            with sock, rfile:
+                sock.sendall(encode_frame_v4({"type": "poll"}))
+                frames = [(header, body)]
+                while header[1] != FRAME_IDS["report"]:
+                    header, body = read_raw_frame(rfile)
+                    frames.append((header, body))
+            assert frames[0][0][1] == FRAME_IDS["welcome"]
+            for header, body in frames:
+                assert header[0] == MAGIC_V4
+                assert header[2] == 0  # codec nibble 0 (json), not encrypted
+                json.loads(body)
+        finally:
+            farm.shutdown()
+
+    def test_contract_frame_carries_clear_json(self):
+        """Capture what TcpShardLink puts on the wire for a contract."""
+        contract = ThroughputRangeContract(2.0, 40.0)
+        captured = {}
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def scripted_agent():
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as rfile:
+                read_frame_blocking(rfile, allowed=("json",))  # hello
+                conn.sendall(
+                    encode_frame_v4({"type": "welcome", "proto": PROTOCOL_VERSION})
+                )
+                captured["frame"] = read_raw_frame(rfile)
+                conn.sendall(encode_frame_v4({"type": "contract-ack"}))
+                read_frame_blocking(rfile)  # bye
+
+        agent = threading.Thread(target=scripted_agent, daemon=True)
+        agent.start()
+        try:
+            link = TcpShardLink(*server.getsockname()[:2], shard_id=0)
+            link.assign_contract(contract)
+            link.close()
+            agent.join(5.0)
+        finally:
+            server.close()
+        header, body = captured["frame"]
+        assert header[0] == MAGIC_V4 and header[1] == FRAME_IDS["contract"]
+        assert header[2] == 0  # json, clear text
+        assert json.loads(body) == {"contract": contract_to_wire(contract)}
