@@ -9,7 +9,10 @@ RuleEngine` — and (iii) their *degree of cooperation* (parent/children
 links, and optionally a multi-concern coordinator).
 
 The control loop is the classical monitor → analyse → plan → execute
-cycle [16,17], realised as a periodic :meth:`control_step`:
+cycle [16,17], realised as a periodic :meth:`control_step`.  A manager
+only calls ``now``, ``periodic`` and (to delay violation reports to a
+parent) ``schedule`` on its ``sim``, so a root manager runs unchanged on
+the wall-clock :class:`~repro.obs.clock.Ticker` as well as on the DES:
 
 1. **monitor** — sample the ABC (None during reconfiguration blackouts,
    in which case the whole cycle is skipped, reproducing Figure 4's
@@ -42,11 +45,15 @@ from ..obs.events import TraceRecorder
 from .contracts import Contract
 from .events import Events, Violation
 
-__all__ = ["ManagerState", "AutonomicManager", "ManagerError"]
+__all__ = ["ManagerState", "AutonomicManager", "ManagerError", "ManagerValueError"]
 
 
 class ManagerError(RuntimeError):
     """Raised for invalid manager wiring or usage."""
+
+
+class ManagerValueError(ManagerError, ValueError):
+    """An invalid period or contract: catchable as either base class."""
 
 
 class ManagerState(enum.Enum):
@@ -73,7 +80,7 @@ class AutonomicManager:
         autostart: bool = True,
     ) -> None:
         if control_period <= 0:
-            raise ManagerError("control_period must be positive")
+            raise ManagerValueError("control_period must be positive")
         self.name = name
         self.sim = sim
         self.concern = concern
@@ -98,7 +105,9 @@ class AutonomicManager:
         self.unhandled_violations: List[Violation] = []
         self.violations_raised: List[Violation] = []
 
-        self._loop: Optional[PeriodicTask] = None
+        #: the periodic handle driving control_step once started: a DES
+        #: PeriodicTask, or a wall-clock PeriodicThread on a Ticker
+        self.loop: Optional[PeriodicTask] = None
         if autostart:
             self.start()
 
@@ -130,17 +139,23 @@ class AutonomicManager:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin the periodic control loop (idempotent)."""
-        if self._loop is None or self._loop.cancelled:
-            self._loop = self.sim.periodic(
-                self.control_period, self.control_step, name=f"{self.name}.loop"
+    def start(self) -> "AutonomicManager":
+        """Begin the periodic control loop (idempotent); returns self."""
+        if self.loop is None or self.loop.cancelled:
+            self.loop = self.sim.periodic(
+                self.control_period, self._tick, name=f"{self.name}.loop"
             )
+        return self
+
+    def _tick(self) -> None:
+        # control_step returns the fired rule names; a DES PeriodicTask
+        # would read that truthy list as "stop", so the loop drops it
+        self.control_step()
 
     def stop(self) -> None:
         """Stop the control loop."""
-        if self._loop is not None:
-            self._loop.cancel()
+        if self.loop is not None:
+            self.loop.cancel()
 
     # ------------------------------------------------------------------
     # contracts (active role entry point)
@@ -177,8 +192,11 @@ class AutonomicManager:
     # ------------------------------------------------------------------
     # MAPE loop
     # ------------------------------------------------------------------
-    def control_step(self) -> None:
+    def control_step(self) -> List[str]:
         """One control-loop tick: monitor, analyse, plan, execute.
+
+        Returns the names of the rules fired (empty when blacked out or
+        passive).
 
         With telemetry attached, every phase of the MAPE cycle becomes a
         child span of one ``mape.cycle`` span, and the cycle's
@@ -190,6 +208,7 @@ class AutonomicManager:
         execution are separately attributable.
         """
         tel = self.telemetry
+        fired: List[str] = []
         with tel.span("mape.cycle", actor=self.name) as cycle:
             with tel.span("mape.monitor", actor=self.name):
                 data = self.monitor()
@@ -201,7 +220,7 @@ class AutonomicManager:
                         "repro_mape_blackout_ticks_total",
                         "control ticks skipped during reconfiguration blackouts",
                     ).labels(manager=self.name).inc()
-                return
+                return fired
             self.last_monitor = data
             with tel.span("mape.analyse", actor=self.name):
                 self.observe(data)
@@ -228,6 +247,7 @@ class AutonomicManager:
             tel.metrics.counter(
                 "repro_mape_ticks_total", "MAPE control ticks executed"
             ).labels(manager=self.name).inc()
+        return fired
 
     def monitor(self) -> Optional[Dict[str, Any]]:
         """Sample the ABC (managers without an ABC see an empty sample)."""
@@ -288,11 +308,15 @@ class AutonomicManager:
         *root* manager's violations go to the user, who is not part of the
         control loop, so the root stays active and keeps retrying — going
         permanently passive would deadlock the whole hierarchy.  Warnings
-        (e.g. ``tooMuchTasks``, §4.2) never change the state.
+        (e.g. ``tooMuchTasks``, §4.2) never change the state.  An SLO
+        engine's adaptation tracker, when attached, stamps the
+        violation-observed end of the adaptation-latency yardstick here.
         """
         violation = Violation(kind, self.name, self.sim.now, detail, severity)
         self.violations_raised.append(violation)
         self.trace.mark(self.sim.now, self.name, Events.RAISE_VIOL, kind=kind)
+        if self.telemetry.adaptation is not None:
+            self.telemetry.adaptation.violation_observed(kind, manager=self.name)
         if severity == "fatal" and self.parent is not None:
             self._set_state(ManagerState.PASSIVE)
         if self.parent is not None:

@@ -50,7 +50,7 @@ from .contracts import (
     ThroughputRangeContract,
 )
 from .events import Events, Violation, ViolationKind
-from .manager import AutonomicManager, ManagerError, ManagerState
+from .manager import AutonomicManager, ManagerError, ManagerState, ManagerValueError
 from .policies import (
     ManagersConstants,
     farm_rules,
@@ -68,8 +68,22 @@ __all__ = [
 ]
 
 
+#: the contract parts a farm manager maps onto Figure 5's thresholds
+_FARM_PARTS = (
+    ThroughputRangeContract,
+    MinThroughputContract,
+    MaxLatencyContract,
+    BestEffortContract,
+)
+
+
+def _parts(contract: Contract) -> List[Contract]:
+    return contract.parts if isinstance(contract, CompositeContract) else [contract]
+
+
 class FarmManager(AutonomicManager):
-    """AM_F: autonomic manager of a task-farm behavioural skeleton."""
+    """AM_F: autonomic manager of a task-farm behavioural skeleton (on the
+    DES, or live as :class:`~repro.runtime.controller.FarmController`)."""
 
     def __init__(
         self,
@@ -102,6 +116,16 @@ class FarmManager(AutonomicManager):
         self.worker_work = worker_work
 
     # -- contract handling ---------------------------------------------
+    def assign_contract(self, contract: Contract) -> None:
+        """Check every part first: a contract with a part the farm cannot
+        interpret is refused whole, leaving the previous one in force."""
+        for part in _parts(contract):
+            if not isinstance(part, _FARM_PARTS):
+                raise ManagerValueError(
+                    f"{self.name}: farm manager cannot interpret {type(part).__name__}"
+                )
+        super().assign_contract(contract)
+
     def on_contract(self, contract: Contract) -> None:
         """Derive the rule thresholds from the contract and hand the
         worker managers their best-effort sub-contracts (§4.2).
@@ -110,23 +134,15 @@ class FarmManager(AutonomicManager):
         "throughput in range AND mean latency below L" SLA tunes both the
         Figure 5 thresholds and the latency-extension rule.
         """
-        parts = contract.parts if isinstance(contract, CompositeContract) else [contract]
-        for part in parts:
-            if isinstance(part, ThroughputRangeContract):
+        for part in _parts(contract):
+            if isinstance(part, MaxLatencyContract):
+                self.constants.FARM_MAX_LATENCY = part.limit
+            elif isinstance(part, ThroughputRangeContract):
                 self.constants.FARM_LOW_PERF_LEVEL = part.low
                 self.constants.FARM_HIGH_PERF_LEVEL = part.high
-            elif isinstance(part, MinThroughputContract):
-                self.constants.FARM_LOW_PERF_LEVEL = part.target
+            else:  # a floor with no ceiling; best effort has no floor either
+                self.constants.FARM_LOW_PERF_LEVEL = getattr(part, "target", 0.0)
                 self.constants.FARM_HIGH_PERF_LEVEL = float("inf")
-            elif isinstance(part, MaxLatencyContract):
-                self.constants.FARM_MAX_LATENCY = part.limit
-            elif isinstance(part, BestEffortContract):
-                self.constants.FARM_LOW_PERF_LEVEL = 0.0
-                self.constants.FARM_HIGH_PERF_LEVEL = float("inf")
-            else:
-                raise ManagerError(
-                    f"{self.name}: farm manager cannot interpret {type(part).__name__}"
-                )
         self._initial_deployment()
         for child in self.children:
             child.assign_contract(BestEffortContract())
@@ -195,8 +211,8 @@ class FarmManager(AutonomicManager):
         tel = self.telemetry
         if tel.enabled:
             # The metrics registry is the shared sink for the window/EWMA
-            # rate estimators' outputs — sim and live runtimes publish the
-            # same gauge names.
+            # rate estimators' outputs — one observe() publishes the same
+            # gauges on the DES and on a live backend.
             m = tel.metrics
             labels = {"manager": self.name}
             m.gauge("repro_farm_arrival_rate", "task arrival rate (tasks/s)").labels(
@@ -209,8 +225,12 @@ class FarmManager(AutonomicManager):
                 **labels
             ).set(data["num_workers"])
             m.gauge(
-                "repro_farm_queue_variance", "population variance of queue lengths"
+                "repro_farm_queue_variance",
+                "population variance of per-worker queue lengths",
             ).labels(**labels).set(data["queue_variance"])
+            m.gauge(
+                "repro_farm_latency_seconds", "windowed mean task latency"
+            ).labels(**labels).set(data.get("mean_latency", 0.0))
             m.histogram(
                 "repro_farm_queue_variance_ticks",
                 "queue variance observed per control tick",
@@ -249,7 +269,13 @@ class FarmManager(AutonomicManager):
             count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
             ok = self._add_workers(count)
             if ok:
-                self.trace.mark(self.sim.now, self.name, Events.ADD_WORKER, count=count)
+                # intent=True: the grow went through the coordinator's
+                # two-phase protocol rather than straight to the ABC
+                via = {"intent": True} if self.coordinator is not None else {}
+                self.trace.mark(
+                    self.sim.now, self.name, Events.ADD_WORKER, count=count, **via
+                )
+                self._plan_committed("addWorker")
             else:
                 self.raise_violation(ViolationKind.NO_LOCAL_PLAN, operation=op.value)
             if self.telemetry.enabled:
@@ -260,6 +286,7 @@ class FarmManager(AutonomicManager):
         if op is ManagerOperation.REMOVE_EXECUTOR:
             if self.farm_abc.execute(op, data):
                 self.trace.mark(self.sim.now, self.name, Events.REMOVE_WORKER)
+                self._plan_committed("removeWorker")
             # refusing to go below one worker is not a violation
             return
         if op is ManagerOperation.MIGRATE:
@@ -280,6 +307,12 @@ class FarmManager(AutonomicManager):
                 )
             return
         super().on_operation(op, data)
+
+    def _plan_committed(self, action: str) -> None:
+        """Stamp the plan-committed end of an attached SLO engine's
+        adaptation-latency yardstick (inert without one)."""
+        if self.telemetry.adaptation is not None:
+            self.telemetry.adaptation.plan_committed(action, manager=self.name)
 
     def _add_workers(self, count: int) -> bool:
         """Add workers, via the multi-concern coordinator when present.

@@ -328,17 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_fig4_sharded(
             run_fig4_sharded(sharded_cfg, telemetry=sharded_telemetry)
         ))
-        if args.trace_out:
-            from ..obs.export import write_trace_jsonl
-
-            n = write_trace_jsonl(args.trace_out, sharded_telemetry)
-            print(f"wrote {n} trace records to {args.trace_out}")
-        if args.metrics_out:
-            from ..obs.export import prometheus_text
-
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(prometheus_text(sharded_telemetry.metrics))
-            print(f"wrote metrics to {args.metrics_out}")
+        _export(args, sharded_telemetry)
         return 0
     if args.backend != "sim":
         from .fig4_live import Fig4LiveConfig, render_fig4_live, run_fig4_live
@@ -357,17 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.trace_out or args.metrics_out:
             live_telemetry = Telemetry()
         print(render_fig4_live(run_fig4_live(live_cfg, telemetry=live_telemetry)))
-        if args.trace_out:
-            from ..obs.export import write_trace_jsonl
-
-            n = write_trace_jsonl(args.trace_out, live_telemetry)
-            print(f"wrote {n} trace records to {args.trace_out}")
-        if args.metrics_out:
-            from ..obs.export import prometheus_text
-
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(prometheus_text(live_telemetry.metrics))
-            print(f"wrote metrics to {args.metrics_out}")
+        _export(args, live_telemetry)
         return 0
     if args.with_security:
         parser.error("--with-security needs a live backend (thread/process/dist)")
@@ -387,21 +367,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .report import render_fig4
 
     print(render_fig4(result))
+    _export(args, telemetry, result.trace)
+    return 0
+
+
+def _export(
+    args: argparse.Namespace,
+    telemetry: Optional[Telemetry],
+    trace: Optional[TraceRecorder] = None,
+) -> None:
+    """Write ``--trace-out`` / ``--metrics-out`` for any of the runs."""
+    from ..obs.export import prometheus_text, write_trace_jsonl
 
     if args.trace_out:
-        from ..obs.export import write_trace_jsonl
-
         n = write_trace_jsonl(
-            args.trace_out, telemetry, result.trace, include_series=True
+            args.trace_out, telemetry, trace, include_series=trace is not None
         )
         print(f"wrote {n} trace records to {args.trace_out}")
     if args.metrics_out:
-        from ..obs.export import prometheus_text
-
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(prometheus_text(telemetry.metrics))
         print(f"wrote metrics to {args.metrics_out}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.contracts import ThroughputRangeContract
 from ..core.multiconcern import CoordinationMode
@@ -206,34 +206,51 @@ def live_task(payload: Any) -> Any:
 def make_backend(
     cfg: Fig4LiveConfig, telemetry: Optional[Telemetry] = None
 ) -> FarmBackend:
-    if cfg.backend == "thread":
-        return ThreadFarm(
-            live_task,
-            initial_workers=cfg.initial_workers,
-            name="fig4-thread",
-            rate_window=cfg.rate_window,
-            max_workers=cfg.max_workers,
-            telemetry=telemetry,
+    backends = {"thread": ThreadFarm, "process": ProcessFarm, "dist": DistFarm}
+    if cfg.backend not in backends:
+        raise ValueError(
+            f"unknown live backend {cfg.backend!r} (choose from {LIVE_BACKENDS})"
         )
-    if cfg.backend == "process":
-        return ProcessFarm(
-            live_task,
-            initial_workers=cfg.initial_workers,
-            name="fig4-process",
-            rate_window=cfg.rate_window,
-            max_workers=cfg.max_workers,
-            telemetry=telemetry,
-        )
-    if cfg.backend == "dist":
-        return DistFarm(
-            live_task,
-            initial_workers=cfg.initial_workers,
-            name="fig4-dist",
-            rate_window=cfg.rate_window,
-            max_workers=cfg.max_workers,
-            telemetry=telemetry,
-        )
-    raise ValueError(f"unknown live backend {cfg.backend!r} (choose from {LIVE_BACKENDS})")
+    return backends[cfg.backend](
+        live_task,
+        initial_workers=cfg.initial_workers,
+        name=f"fig4-{cfg.backend}",
+        rate_window=cfg.rate_window,
+        max_workers=cfg.max_workers,
+        telemetry=telemetry,
+    )
+
+
+def _serve(cfg: Fig4LiveConfig, telemetry: Optional[Telemetry]) -> Optional[Any]:
+    """Start the live telemetry endpoint when the config asks for it."""
+    if not cfg.serve_telemetry:
+        return None
+    server = telemetry.serve(port=cfg.telemetry_port)
+    print(
+        f"live telemetry on http://{server.host}:{server.port} "
+        "(/metrics, /traces, /trace/<id>, /healthz, /query, /slo, /stream)"
+    )
+    return server
+
+
+#: Fig4LiveResult series → the FarmManager trace series it is read from
+_SERIES = {
+    "worker_series": "num_workers",
+    "throughput_series": "departure_rate",
+    "arrival_series": "arrival_rate",
+}
+
+
+def _manager_record(controllers: List[FarmController]) -> Dict[str, list]:
+    """Actions, violations and the figure's series, read off the trace of
+    every controller that steered the run (a failover replaces it)."""
+    record: Dict[str, list] = {key: [] for key in ("actions", "violations", *_SERIES)}
+    for controller in controllers:
+        record["actions"] += controller.actions
+        record["violations"] += controller.violations
+        for key, series in _SERIES.items():
+            record[key] += controller.trace.series_values(f"{controller.name}.{series}")
+    return record
 
 
 def _attach_slo(
@@ -289,6 +306,28 @@ def _harvest_slo(result: Fig4LiveResult, telemetry: Optional[Telemetry]) -> None
         result.adaptation_latency = tracker.cycles[0]["total"]
 
 
+def _feed_and_drain(
+    farm: Any, cfg: Fig4LiveConfig, crash: Callable[[], bool]
+) -> Tuple[bool, bool]:
+    """Phases 1-4: starve below the stripe, press inside it (calling
+    ``crash`` from ``crash_after`` fed tasks on until it reports a
+    fault), then drain.  Returns (every result correct, crashed)."""
+    fed, crashed = 0, False
+    t_end = farm.now() + cfg.starve_duration
+    while farm.now() < t_end and fed < cfg.total_tasks:
+        farm.submit((cfg.task_work, fed))
+        fed += 1
+        time.sleep(1.0 / cfg.starve_rate)
+    while fed < cfg.total_tasks:
+        farm.submit((cfg.task_work, fed))
+        fed += 1
+        if cfg.inject_crash and not crashed and fed >= cfg.crash_after:
+            crashed = crash()
+        time.sleep(1.0 / cfg.feed_rate)
+    results = farm.drain_results(fed, timeout=cfg.drain_timeout)
+    return sorted(results) == sorted(i * i for i in range(fed)), crashed
+
+
 def run_fig4_live(
     config: Optional[Fig4LiveConfig] = None, *, telemetry: Optional[Telemetry] = None
 ) -> Fig4LiveResult:
@@ -305,13 +344,7 @@ def run_fig4_live(
         # the live endpoint has nothing to serve without a store — either
         # way the run needs real telemetry, not the null object
         telemetry = Telemetry()
-    server = None
-    if cfg.serve_telemetry:
-        server = telemetry.serve(port=cfg.telemetry_port)
-        print(
-            f"live telemetry on http://{server.host}:{server.port} "
-            "(/metrics, /traces, /trace/<id>, /healthz, /query, /slo, /stream)"
-        )
+    server = _serve(cfg, telemetry)
     farm = make_backend(cfg, telemetry)
     contract = ThroughputRangeContract(cfg.contract_low, cfg.contract_high)
     controller = FarmController(
@@ -355,49 +388,17 @@ def run_fig4_live(
         security.start()
     controller.start()
 
-    worker_series: List[Tuple[float, float]] = []
-    throughput_series: List[Tuple[float, float]] = []
-    arrival_series: List[Tuple[float, float]] = []
-    last_sample = [0.0]
+    def crash() -> bool:
+        if isinstance(farm, DistFarm):
+            # the distributed fault: sever the TCP connection —
+            # the worker process itself may be perfectly healthy
+            return farm.drop_connection() is not None
+        if isinstance(farm, ProcessFarm):
+            return farm.inject_crash() is not None
+        return False
 
-    def sample() -> None:
-        now = farm.now()
-        if now - last_sample[0] < cfg.control_period / 2.0:
-            return
-        last_sample[0] = now
-        snap = farm.snapshot()
-        worker_series.append((now, snap.num_workers))
-        throughput_series.append((now, snap.departure_rate))
-        arrival_series.append((now, snap.arrival_rate))
-
-    fed = 0
-    crashed = False
     try:
-        # phase 1: starvation below the stripe
-        t_end = farm.now() + cfg.starve_duration
-        while farm.now() < t_end and fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            sample()
-            time.sleep(1.0 / cfg.starve_rate)
-        # phases 2-3: pressure inside the stripe, with an optional kill
-        while fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            if cfg.inject_crash and not crashed and fed >= cfg.crash_after:
-                if isinstance(farm, DistFarm):
-                    # the distributed fault: sever the TCP connection —
-                    # the worker process itself may be perfectly healthy
-                    crashed = farm.drop_connection() is not None
-                elif isinstance(farm, ProcessFarm):
-                    crashed = farm.inject_crash() is not None
-            sample()
-            time.sleep(1.0 / cfg.feed_rate)
-        # phase 4: drain
-        results = farm.drain_results(fed, timeout=cfg.drain_timeout)
-        sample()
-        expected = sorted(i * i for i in range(fed))
-        results_ok = sorted(results) == expected
+        results_ok, _ = _feed_and_drain(farm, cfg, crash)
         duration = farm.now()
         if security is not None:
             security.stop()
@@ -409,16 +410,12 @@ def run_fig4_live(
             completed=snap.completed,
             results_ok=results_ok,
             duration=duration,
-            actions=list(controller.actions),
-            violations=list(controller.violations),
-            worker_series=worker_series,
-            throughput_series=throughput_series,
-            arrival_series=arrival_series,
             final_workers=snap.num_workers,
             crashes=len(getattr(farm, "crashes", [])),
             replays=getattr(farm, "replays", 0),
             duplicates=getattr(farm, "duplicates", 0),
             dead_letters=len(getattr(farm, "dead_letters", [])),
+            **_manager_record([controller]),
         )
         _harvest_slo(result, telemetry)
         if gm is not None and telemetry is not None:
@@ -481,13 +478,7 @@ def _run_fig4_supervised(
 
     if telemetry is None and cfg.serve_telemetry:
         telemetry = Telemetry()
-    server = None
-    if cfg.serve_telemetry:
-        server = telemetry.serve(port=cfg.telemetry_port)
-        print(
-            f"live telemetry on http://{server.host}:{server.port} "
-            "(/metrics, /traces, /trace/<id>, /healthz, /query, /slo, /stream)"
-        )
+    server = _serve(cfg, telemetry)
     journal_path = cfg.journal_path
     cleanup_journal = False
     if not journal_path:
@@ -517,55 +508,21 @@ def _run_fig4_supervised(
     # keep judging the farm through the coordinator's death
     _attach_slo(cfg, telemetry, contract, f"{supervisor.name}-am")
 
-    worker_series: List[Tuple[float, float]] = []
-    throughput_series: List[Tuple[float, float]] = []
-    arrival_series: List[Tuple[float, float]] = []
-    last_sample = [0.0]
-
-    def sample() -> None:
-        now = farm.now()
-        if now - last_sample[0] < cfg.control_period / 2.0:
-            return
-        last_sample[0] = now
-        snap = farm.snapshot()
-        worker_series.append((now, snap.num_workers))
-        throughput_series.append((now, snap.departure_rate))
-        arrival_series.append((now, snap.arrival_rate))
-
-    # actions/violations span coordinator incarnations: snapshot the
-    # doomed controller's lists right before killing it, then append the
-    # replacement's at the end
-    actions: List[Tuple[float, str]] = []
-    violations: List[Tuple[float, str]] = []
+    # the record spans coordinator incarnations: keep the doomed
+    # controller right before killing it, then its replacement at the end
+    controllers: List[FarmController] = []
 
     def harvest_controller() -> None:
-        controller = supervisor.controller
-        if controller is not None:
-            actions.extend(controller.actions)
-            violations.extend(controller.violations)
+        if supervisor.controller is not None:
+            controllers.append(supervisor.controller)
 
-    fed = 0
-    crashed = False
+    def crash() -> bool:
+        harvest_controller()
+        supervisor.crash_coordinator()
+        return True
+
     try:
-        t_end = farm.now() + cfg.starve_duration
-        while farm.now() < t_end and fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            sample()
-            time.sleep(1.0 / cfg.starve_rate)
-        while fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            if cfg.inject_crash and not crashed and fed >= cfg.crash_after:
-                harvest_controller()
-                supervisor.crash_coordinator()
-                crashed = True
-            sample()
-            time.sleep(1.0 / cfg.feed_rate)
-        results = farm.drain_results(fed, timeout=cfg.drain_timeout)
-        sample()
-        expected = sorted(i * i for i in range(fed))
-        results_ok = sorted(results) == expected
+        results_ok, crashed = _feed_and_drain(farm, cfg, crash)
         duration = farm.now()
         harvest_controller()
         supervisor.stop()
@@ -576,11 +533,6 @@ def _run_fig4_supervised(
             completed=snap.completed,
             results_ok=results_ok,
             duration=duration,
-            actions=actions,
-            violations=violations,
-            worker_series=worker_series,
-            throughput_series=throughput_series,
-            arrival_series=arrival_series,
             final_workers=snap.num_workers,
             crashes=1 if crashed else 0,
             replays=farm.redispatched,
@@ -590,6 +542,7 @@ def _run_fig4_supervised(
             failover_latency=farm.last_failover_seconds or 0.0,
             final_epoch=farm.epoch,
             redispatched=farm.redispatched,
+            **_manager_record(controllers),
         )
         _harvest_slo(result, telemetry)
         if server is not None:

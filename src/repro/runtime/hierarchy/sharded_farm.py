@@ -12,10 +12,10 @@ autonomously.  The parent runs its own MAPE loop on top:
   ``poll``/``report``/``violation`` frames when the shard is a
   DistFarm coordinator); aggregate shard violations into the parent's
   record, the upward half of "violations propagate to the parent";
-* **analyse** — judge the root contract against the *aggregate* sample
-  (rates are additive across shards — the invariant the exact rate
-  split preserves) and classify each shard as starving (capacity-capped
-  and missing its slice with work waiting) or donor (idle headroom);
+* **analyse** — classify each shard as starving (capacity-capped and
+  missing its slice with work waiting) or donor (idle headroom); the
+  slices add up to the root SLA (rates are additive across shards, the
+  invariant the exact rate split preserves);
 * **plan** — pick one unit of capacity to move from the most
   over-provisioned donor to the most starving shard, if any;
 * **execute** — re-cap both shards' budgets over their links (the
@@ -46,6 +46,7 @@ from ...core.contracts import (
     split_rate_contract,
     split_rate_contract_weighted,
 )
+from ...obs.clock import PeriodicThread, Ticker
 from ...obs.telemetry import NOOP, Telemetry
 from ..backend import drain_queue
 from .shard import FarmShard, ShardReport
@@ -207,6 +208,7 @@ class ShardedFarm:
         self._last_rebalance = -float("inf")
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
+        self._parent: Optional[PeriodicThread] = None
 
         for shard in self.shards:
             collector = threading.Thread(
@@ -230,16 +232,17 @@ class ShardedFarm:
     def start(self) -> "ShardedFarm":
         for shard in self.shards:
             shard.start()
-        if not any(t.name.endswith("-parent") for t in self._threads if t.is_alive()):
-            parent = threading.Thread(
-                target=self._parent_loop, name=f"{self.name}-parent", daemon=True
+        if self._parent is None or self._parent.cancelled:
+            self._parent = Ticker(telemetry=self.telemetry).periodic(
+                self.control_period, self.parent_step, name=f"{self.name}-parent"
             )
-            parent.start()
-            self._threads.append(parent)
         return self
 
     def shutdown(self) -> None:
         self._stop.set()
+        if self._parent is not None:
+            # joined before the links close, so no tick sees a dead link
+            self._parent.cancel(5.0)
         for shard in self.shards:
             shard.stop()
         for link in self.links:
@@ -323,32 +326,9 @@ class ShardedFarm:
     def completed(self) -> int:
         return sum(shard.farm.completed for shard in self.shards)
 
-    def aggregate_sample(self) -> Dict[str, float]:
-        """The parent's monitor view: additive rates, summed counters."""
-        reports = [r for r in self.last_reports if r is not None]
-        if not reports:
-            return {}
-        return {
-            "arrival_rate": sum(r.arrival_rate for r in reports),
-            "departure_rate": sum(r.departure_rate for r in reports),
-            "num_workers": sum(r.num_workers for r in reports),
-            "pending": sum(r.pending for r in reports),
-            "completed": sum(r.completed for r in reports),
-            "mean_latency": max(r.mean_latency for r in reports),
-        }
-
     # ------------------------------------------------------------------
     # the parent MAPE loop
     # ------------------------------------------------------------------
-    def _parent_loop(self) -> None:
-        while not self._stop.wait(self.control_period):
-            try:
-                self.parent_step()
-            except (ConnectionError, RuntimeError, OSError):
-                if self._stop.is_set():
-                    return
-                raise
-
     def parent_step(self) -> Optional[RebalanceEvent]:
         """One parent MAPE tick (public so tests can drive it)."""
         tel = self.telemetry

@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
+from ..obs.clock import Ticker
 from ..obs.propagation import TraceContext, make_span_record
 from ..obs.telemetry import Telemetry
 from ..security.crypto import decrypt, encrypt
@@ -216,10 +217,9 @@ class ProcessFarm(FarmCore):
             target=self._pump_loop, name=f"{name}-pump", daemon=True
         )
         self._pump.start()
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop, name=f"{name}-supervisor", daemon=True
+        self._supervisor = Ticker(telemetry=self.telemetry).periodic(
+            supervise_period, self.supervise_once, name=f"{name}-supervisor"
         )
-        self._supervisor.start()
 
     # ------------------------------------------------------------------
     # stream
@@ -315,13 +315,6 @@ class ProcessFarm(FarmCore):
     # ------------------------------------------------------------------
     # supervision: heartbeat liveness + replay of due retries
     # ------------------------------------------------------------------
-    def _supervise_loop(self) -> None:
-        while not self._shutdown.wait(self.supervise_period):
-            try:
-                self.supervise_once()
-            except Exception:  # noqa: BLE001 - the supervisor must survive
-                continue
-
     def supervise_once(self) -> List[int]:
         """One supervision pass (public so tests can drive it directly).
 
@@ -467,7 +460,8 @@ class ProcessFarm(FarmCore):
     def _stop(self, timeout: Optional[float]) -> None:
         """Poison every worker and give it ``timeout`` seconds to drain
         before SIGKILL; ``None`` kills at once (a coordinator crash)."""
-        self._shutdown.set()  # stops the pump and supervisor loops
+        self._shutdown.set()  # stops the pump loop
+        self._supervisor.halt()
         with self._lock:
             workers = list(self.workers)
             for w in workers:
@@ -486,8 +480,8 @@ class ProcessFarm(FarmCore):
             if w.process.is_alive():
                 w.process.kill()
                 w.process.join(1.0)
-        for t in (self._pump, self._supervisor):
-            t.join(1.0)
+        self._pump.join(1.0)
+        self._supervisor.cancel(1.0)
         for w in workers:
             w.task_queue.close()
             w.task_queue.cancel_join_thread()

@@ -48,6 +48,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from ...obs.clock import PeriodicThread, Ticker
 from ...obs.propagation import task_context
 from ...obs.spans import Span
 from ...obs.telemetry import NOOP, Telemetry
@@ -709,8 +710,7 @@ class Supervisor:
         self.name = name or f"{farm.name}-sup"
         self.controller: Optional[FarmController] = None
         self.failovers = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._monitor: Optional[PeriodicThread] = None
         self._restart_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------
@@ -720,17 +720,14 @@ class Supervisor:
                 {"ev": "contract", "c": contract_to_wire(self.contract)}
             )
             self.controller = self._make_controller(self.contract)
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._monitor_loop, name=f"{self.name}-monitor", daemon=True
+        self._monitor = Ticker(telemetry=self.telemetry).periodic(
+            self.check_period, self._check, name=f"{self.name}-monitor"
         )
-        self._thread.start()
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
+        if self._monitor is not None:
+            self._monitor.cancel(timeout)
         if self.controller is not None:
             self.controller.stop(timeout)
 
@@ -762,9 +759,9 @@ class Supervisor:
     def crash_coordinator(self) -> None:
         """Kill the whole coordinator stack: controller + dispatcher."""
         if self.controller is not None:
-            # simulated SIGKILL: the control thread is told nothing and
-            # simply stops being scheduled (stop event, no graceful join)
-            self.controller._stop.set()
+            # simulated SIGKILL: the control loop is told nothing and
+            # simply stops being scheduled (no graceful join)
+            self.controller.stop(timeout=0)
         self.farm.crash_coordinator()
 
     def restart(self) -> JournalState:
@@ -780,18 +777,14 @@ class Supervisor:
             self.failovers += 1
             return state
 
-    def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.check_period):
-            farm = self.farm
-            if farm._shutdown_done:
-                return
-            stale = farm.heartbeat_age() > self.heartbeat_timeout
-            if not (farm.crashed or stale):
-                continue
-            try:
-                if not farm.crashed:
-                    # silent wedge: declare the coordinator dead first
-                    self.crash_coordinator()
-                self.restart()
-            except Exception:  # noqa: BLE001 - the supervisor must survive
-                continue
+    def _check(self) -> None:
+        """One heartbeat check: fail over a crashed or silent coordinator."""
+        farm = self.farm
+        if farm._shutdown_done:
+            self._monitor.cancel()
+            return
+        if farm.crashed or farm.heartbeat_age() > self.heartbeat_timeout:
+            if not farm.crashed:
+                # silent wedge: declare the coordinator dead first
+                self.crash_coordinator()
+            self.restart()

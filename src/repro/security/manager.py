@@ -19,7 +19,6 @@ multi-concern coordination in two ways:
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..gcm.abc_controller import (
@@ -27,6 +26,7 @@ from ..gcm.abc_controller import (
     FarmABC,
     PlannedReconfiguration,
 )
+from ..obs.clock import PeriodicThread, Ticker
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import Bean, ManagerOperation
 from ..rules.dsl import rule, value_gt
@@ -201,8 +201,9 @@ class LiveSecurityManager(ConcernReview):
     the live GM (:class:`~repro.runtime.multiconcern.LiveGeneralManager`)
     rather than the simulator.  Same two faces:
 
-    * **reactively** — :meth:`control_step` (run by its own thread, like
-      the performance :class:`~repro.runtime.controller.FarmController`)
+    * **reactively** — :meth:`control_step` (run on a wall-clock
+      :class:`~repro.obs.clock.Ticker`, like the performance
+      :class:`~repro.runtime.controller.FarmController`)
       scans the farm for exposed workers — unsecured channels whose
       bound node sits on untrusted ground, per the
       :class:`~repro.runtime.multiconcern.WorkerPlacement` binding — and
@@ -246,8 +247,7 @@ class LiveSecurityManager(ConcernReview):
         self.secured_actions = 0
         self.amendments = 0
         self.vetoes = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self.loop: Optional[PeriodicThread] = None
 
     # -- monitoring --------------------------------------------------------
     def exposed_workers(self) -> List[Tuple[int, Node]]:
@@ -302,23 +302,15 @@ class LiveSecurityManager(ConcernReview):
 
     # -- loop lifecycle ----------------------------------------------------
     def start(self) -> "LiveSecurityManager":
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="security-manager", daemon=True
-        )
-        self._thread.start()
+        if self.loop is None or self.loop.cancelled:
+            self.loop = Ticker(telemetry=self.telemetry).periodic(
+                self.control_period, self.control_step, name=f"{self.name}.loop"
+            )
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.control_period):
-            self.control_step()
+        if self.loop is not None:
+            self.loop.cancel(timeout)
 
     # -- two-phase protocol (phase 2) --------------------------------------
     def review_intent(self, originator: Any, plan: PlannedReconfiguration) -> bool:

@@ -55,12 +55,6 @@ class FarmSnapshot:
     #: mean completion latency over the monitoring window (0 if none)
     mean_latency: float = 0.0
 
-    @property
-    def mean_queue_length(self) -> float:
-        if not self.queue_lengths:
-            return 0.0
-        return sum(self.queue_lengths) / len(self.queue_lengths)
-
 
 class DispatchPolicy:
     """Emitter scheduling policies (the paper's S component policy)."""

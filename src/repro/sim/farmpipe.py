@@ -148,10 +148,6 @@ class SimFarmOfPipelines:
 
         self._proc = sim.process(self._dispatch_loop(), name=f"{name}.dispatcher")
 
-    @property
-    def stages_per_replica(self) -> int:
-        return len(self.stage_works)
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.core.behavioural import build_farm_bs, build_three_stage_pipeline
 from repro.core.contracts import (
     BestEffortContract,
+    CompositeContract,
     MinThroughputContract,
     ParallelismDegreeContract,
     RateContract,
@@ -67,6 +68,19 @@ class TestFarmManagerContracts:
         _, _, _, mgr = farm_manager_setup()
         with pytest.raises(ManagerError):
             mgr.assign_contract(ParallelismDegreeContract(1, 4))
+
+    def test_failed_composite_leaves_old_contract_in_force(self):
+        """A composite with one part the farm cannot interpret is refused
+        whole: no threshold moves and the old contract stays assigned."""
+        _, _, _, mgr = farm_manager_setup()
+        old = ThroughputRangeContract(0.3, 0.7)
+        mgr.assign_contract(old)
+        bad = CompositeContract([ThroughputRangeContract(7, 9), RateContract(5)])
+        with pytest.raises(ManagerError):
+            mgr.assign_contract(bad)
+        assert mgr.constants.FARM_LOW_PERF_LEVEL == 0.3
+        assert mgr.constants.FARM_HIGH_PERF_LEVEL == 0.7
+        assert mgr.contract is old
 
     def test_children_receive_best_effort(self):
         sim, farm, abc, mgr = farm_manager_setup()

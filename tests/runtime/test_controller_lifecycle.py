@@ -19,9 +19,13 @@ from repro.core.contracts import (
     RateContract,
     ThroughputRangeContract,
 )
+from repro.obs.telemetry import Telemetry
 from repro.runtime.backend import RuntimeFarmSnapshot
 from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
+from repro.runtime.multiconcern import WorkerPlacement
+from repro.security.manager import LiveSecurityManager
+from repro.sim.resources import ResourceManager, make_cluster
 
 from .waiting import wait_until
 
@@ -52,7 +56,7 @@ class TestShutdownPaths:
                 message="a mid-cycle rule firing",
             )
             ctl.stop(timeout=10.0)
-            assert ctl._thread is not None and not ctl._thread.is_alive()
+            assert ctl.loop is not None and not ctl.loop.thread.is_alive()
         finally:
             farm.shutdown()
 
@@ -74,9 +78,9 @@ class TestShutdownPaths:
         ctl = FarmController(farm, MinThroughputContract(10.0), control_period=0.02)
         try:
             assert ctl.start() is ctl
-            first = ctl._thread
+            first = ctl.loop.thread
             assert ctl.start() is ctl
-            assert ctl._thread is first  # no second loop thread spawned
+            assert ctl.loop.thread is first  # no second loop thread spawned
         finally:
             ctl.stop()
             farm.shutdown()
@@ -90,7 +94,7 @@ class TestShutdownPaths:
         ).start()
         farm.shutdown()
         ctl.stop(timeout=10.0)
-        assert not ctl._thread.is_alive()
+        assert not ctl.loop.thread.is_alive()
 
 
 class TestContractSwap:
@@ -322,7 +326,7 @@ class TestViolationDuringDrain:
                 message="starvation during drain",
             )
             ctl.stop(timeout=10.0)
-            assert not ctl._thread.is_alive()
+            assert not ctl.loop.thread.is_alive()
         finally:
             farm.shutdown()
 
@@ -347,3 +351,73 @@ class TestViolationDuringDrain:
             time.sleep(0.01)
             assert len(ctl.violations) == count
         farm.shutdown()
+
+
+def _counter(tel, name, **labels):
+    family = tel.metrics.get(name)
+    return 0.0 if family is None else family.labels(**labels).value
+
+
+class TestRaisingTick:
+    """A live loop outlives a tick that raises: the error is counted on
+    ``repro_loop_tick_errors_total`` and the next tick runs as usual."""
+
+    def test_controller_survives_a_raising_snapshot(self):
+        tel = Telemetry()
+        farm = ThreadFarm(square, initial_workers=1)
+        snapshot = farm.snapshot
+        calls = []
+
+        def flaky_snapshot():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("sensor read failed")
+            return snapshot()
+
+        farm.snapshot = flaky_snapshot
+        ctl = FarmController(
+            farm, MinThroughputContract(10.0), control_period=0.01, telemetry=tel
+        ).start()
+        try:
+            wait_until(lambda: len(calls) > 1, message="a tick after the raising one")
+            ticks = _counter(tel, "repro_mape_ticks_total", manager=ctl.name)
+            wait_until(
+                lambda: _counter(tel, "repro_mape_ticks_total", manager=ctl.name)
+                > ticks + 2,
+                message="the loop still ticking",
+            )
+            assert _counter(
+                tel, "repro_loop_tick_errors_total", loop=f"{ctl.name}.loop"
+            ) == 1
+            assert ctl.loop.thread.is_alive()
+        finally:
+            ctl.stop()
+            farm.shutdown()
+
+    def test_security_manager_survives_a_raising_step(self):
+        tel = Telemetry()
+        farm = ThreadFarm(square, initial_workers=1)
+        placement = WorkerPlacement(ResourceManager(make_cluster(2)))
+        security = LiveSecurityManager(
+            farm, placement, control_period=0.01, telemetry=tel
+        )
+        step = security.control_step
+        calls = []
+
+        def flaky_step():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("scan failed")
+            return step()
+
+        security.control_step = flaky_step
+        security.start()
+        try:
+            wait_until(lambda: len(calls) > 3, message="ticks after the raising one")
+            assert _counter(
+                tel, "repro_loop_tick_errors_total", loop=f"{security.name}.loop"
+            ) == 1
+            assert security.loop.thread.is_alive()
+        finally:
+            security.stop()
+            farm.shutdown()

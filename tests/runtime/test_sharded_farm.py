@@ -275,10 +275,9 @@ class TestRebalanceMechanics:
         )
         try:
             controller = farm.shards[0].controller
-            now = farm.shards[0].farm.now()
-            controller.violations.append((now, "notEnoughTasks"))
-            controller.violations.append((now, "notEnoughTasks"))
-            controller.violations.append((now, "noLocalPlan"))
+            controller.raise_violation("notEnoughTasks")
+            controller.raise_violation("notEnoughTasks")
+            controller.raise_violation("noLocalPlan")
             farm.parent_step()
             kinds = [k for _, shard, k in farm.violations if shard == 0]
             assert kinds == ["notEnoughTasks", "notEnoughTasks", "noLocalPlan"]
