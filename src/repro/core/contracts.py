@@ -58,7 +58,13 @@ __all__ = [
     "split_rate_contract",
     "split_rate_contract_weighted",
     "ContractError",
+    "BOOLEAN_CONCERNS",
 ]
+
+#: concerns that are boolean ("data and code communication is either
+#: secure or it is not", §3.2): hard constraints in a composite score
+#: and first in a GM's review order
+BOOLEAN_CONCERNS = frozenset({"security"})
 
 
 class ContractError(ValueError):
@@ -331,9 +337,6 @@ class WeightedCompositeContract(CompositeContract):
     contract machinery.
     """
 
-    #: concerns treated as hard (boolean) constraints
-    BOOLEAN_CONCERNS = frozenset({"security"})
-
     def __init__(
         self,
         parts: Sequence[Contract],
@@ -359,7 +362,7 @@ class WeightedCompositeContract(CompositeContract):
         judged_any = False
         for part, weight in zip(self.parts, self.weights):
             s = part.satisfaction(monitor)
-            if part.concern in self.BOOLEAN_CONCERNS:
+            if part.concern in BOOLEAN_CONCERNS:
                 if s is None:
                     continue
                 judged_any = True

@@ -152,10 +152,11 @@ class AutonomicManager:
         # would read that truthy list as "stop", so the loop drops it
         self.control_step()
 
-    def stop(self) -> None:
-        """Stop the control loop."""
+    def stop(self, timeout: Optional[float] = 5.0) -> None:
+        """Stop the control loop; a wall-clock loop waits up to ``timeout``
+        for an in-flight tick (``timeout=0``: no wait, a simulated kill)."""
         if self.loop is not None:
-            self.loop.cancel()
+            self.loop.cancel(timeout)
 
     # ------------------------------------------------------------------
     # contracts (active role entry point)

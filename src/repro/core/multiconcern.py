@@ -24,6 +24,14 @@ design points, all implemented here:
   originator's plan immediately and lets other concern managers catch up
   through their own control loops, reproducing the insecure window the
   paper warns about.
+
+One protocol for both substrates: the simulated GM plans over the
+originator's :class:`~repro.gcm.abc_controller.FarmABC`;
+:class:`~repro.runtime.multiconcern.LiveGeneralManager` is this class
+over a placement-backed live ABC and the farm's clock.  Reviews, the
+intent audit (:class:`IntentRecord`, ``intent*`` trace marks), the
+``mc.intent``/``mc.commit`` spans and the ``repro_mc_*`` counters are
+written by one :meth:`GeneralManager.execute_intent`.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from ..gcm.abc_controller import FarmABC, PlannedReconfiguration
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import ManagerOperation
 from ..obs.events import TraceRecorder
+from .contracts import BOOLEAN_CONCERNS, WeightedCompositeContract
 from .events import Events
 from .manager import AutonomicManager, ManagerError
 
@@ -44,7 +53,6 @@ __all__ = [
     "ConcernReview",
     "GeneralManager",
     "IntentRecord",
-    "review_plan",
 ]
 
 
@@ -68,55 +76,6 @@ class ConcernReview:
         return True
 
 
-def review_plan(
-    originator: Any,
-    plan: PlannedReconfiguration,
-    reviewers: Any,
-    *,
-    telemetry: Telemetry = NOOP,
-    on_amend: Any = None,
-    on_veto: Any = None,
-) -> Tuple[bool, int, Tuple[str, ...]]:
-    """Phase one of the intent protocol: run every reviewer over ``plan``.
-
-    Shared by the simulated :class:`GeneralManager` and the live
-    :class:`~repro.runtime.multiconcern.LiveGeneralManager`, so the
-    review semantics — priority order, amendment detection, first veto
-    wins — cannot drift between substrates.  ``on_amend(reviewer,
-    secured_nodes)`` and ``on_veto(reviewer)`` are optional hooks for
-    caller-specific bookkeeping (trace marks, plan abort).
-
-    Returns ``(ok, amendments, reviewer_names)``; ``ok`` is False the
-    moment any reviewer vetoes.
-    """
-    amendments = 0
-    names: list = []
-    for reviewer in reviewers:
-        if reviewer is originator:
-            continue
-        if not isinstance(reviewer, ConcernReview) and not hasattr(
-            reviewer, "review_intent"
-        ):
-            continue
-        names.append(reviewer.name)
-        before = dict(plan.secured)
-        verdict = reviewer.review_intent(originator, plan)
-        telemetry.event(
-            "intent.review", reviewer=reviewer.name, verdict=verdict is not False
-        )
-        if plan.secured != before:
-            amendments += 1
-            if on_amend is not None:
-                on_amend(reviewer, [n for n in plan.secured if plan.secured[n]])
-            telemetry.event("intent.amend", reviewer=reviewer.name)
-        if verdict is False:
-            if on_veto is not None:
-                on_veto(reviewer)
-            telemetry.event("intent.veto", reviewer=reviewer.name)
-            return False, amendments, tuple(names)
-    return True, amendments, tuple(names)
-
-
 @dataclass
 class IntentRecord:
     """Audit entry for one intent run through the GM."""
@@ -124,16 +83,22 @@ class IntentRecord:
     time: float
     originator: str
     operation: str
-    outcome: str  # committed | vetoed | no-plan
+    outcome: str  # committed | partial | failed | vetoed | no-plan
     amendments: int = 0
     reviewers: Tuple[str, ...] = ()
 
 
 class GeneralManager:
-    """The super-AM orchestrating per-concern manager hierarchies."""
+    """The super-AM orchestrating per-concern manager hierarchies.
 
-    #: concerns that are boolean and therefore outrank quantitative ones
-    BOOLEAN_CONCERNS = frozenset({"security"})
+    Substrate-neutral: an intent plans, commits and aborts over the
+    surface :meth:`intent_abc` names and is stamped by :meth:`now`, the
+    two hooks :class:`~repro.runtime.multiconcern.LiveGeneralManager`
+    overrides to run the same protocol over a live farm.
+    """
+
+    #: actor of the GM's spans and trace marks, and its metric label
+    name = "GM"
 
     def __init__(
         self,
@@ -160,7 +125,7 @@ class GeneralManager:
         so its actuators route intents through here.
         """
         if priority is None:
-            priority = 10 if manager.concern in self.BOOLEAN_CONCERNS else 0
+            priority = 10 if manager.concern in BOOLEAN_CONCERNS else 0
         self._managers.append((priority, manager))
         self._managers.sort(key=lambda t: -t[0])
         manager.coordinator = self
@@ -176,112 +141,138 @@ class GeneralManager:
     # ------------------------------------------------------------------
     # the intent protocol
     # ------------------------------------------------------------------
-    def execute_intent(
-        self, originator: AutonomicManager, op: ManagerOperation, data: Any
-    ) -> bool:
-        """Run one reconfiguration intent through the coordination policy.
-
-        Only ``ADD_EXECUTOR`` on a farm ABC has a plan/commit split; any
-        other operation is executed directly (nothing for other concerns
-        to interpose on in this substrate).
-        """
+    def intent_abc(self, originator: Any) -> Optional[Any]:
+        """The plan/commit/abort surface a grow intent runs over, if any."""
         abc = originator.abc
-        if op is not ManagerOperation.ADD_EXECUTOR or not isinstance(abc, FarmABC):
-            return abc.execute(op, data) if abc is not None else False
+        return abc if isinstance(abc, FarmABC) else None
+
+    def now(self, originator: Any) -> float:
+        """The time an intent's audit record and trace marks carry."""
+        return originator.sim.now
+
+    def execute_intent(
+        self, originator: AutonomicManager, op: ManagerOperation, data: Any = None
+    ) -> bool:
+        """Run one reconfiguration intent: plan → review → commit or abort.
+
+        Only ``ADD_EXECUTOR`` over an :meth:`intent_abc` has a plan/commit
+        split; any other operation goes straight to the originator's ABC
+        (nothing for other concerns to interpose on), or is refused when
+        there is none.  Returns True iff at least one executor came up.
+        """
+        abc = self.intent_abc(originator)
+        if op is not ManagerOperation.ADD_EXECUTOR or abc is None:
+            own = getattr(originator, "abc", None)
+            return own.execute(op, data) if own is not None else False
 
         tel = self.telemetry
+        count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
         with tel.span(
-            "intent.round",
-            actor="GM",
+            "mc.intent",
+            actor=self.name,
             originator=originator.name,
             operation=op.value,
             mode=self.mode.value,
-        ) as round_span:
-            count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
+        ) as intent_span:
             plan = abc.plan_add_workers(count)
             tel.event("intent.plan", count=count, ok=plan is not None)
             if plan is None:
-                round_span.set_attribute("outcome", "no-plan")
+                intent_span.set_attribute("outcome", "no-plan")
                 self._record(originator, op, "no-plan")
                 return False
 
-            if self.mode is CoordinationMode.NAIVE:
-                # Phase-less commit: other concern managers only find out via
-                # their own monitoring — the unsafe window of §3.2.
-                abc.commit_plan(plan)
-                tel.event("intent.commit", reviewers=0)
-                round_span.set_attribute("outcome", "committed")
-                self._record(originator, op, "committed", reviewers=())
-                return True
-
-            def on_amend(reviewer: AutonomicManager, secured_nodes: List[str]) -> None:
-                self.trace.mark(
-                    originator.sim.now,
-                    reviewer.name,
-                    Events.INTENT_AMENDED,
-                    nodes=secured_nodes,
-                )
-
-            def on_veto(reviewer: AutonomicManager) -> None:
-                abc.abort_plan(plan)
-                self.trace.mark(originator.sim.now, reviewer.name, Events.INTENT_VETOED)
-
-            ok, amendments, reviewers = review_plan(
-                originator,
-                plan,
-                self.managers,
-                telemetry=tel,
-                on_amend=on_amend,
-                on_veto=on_veto,
-            )
-            if not ok:
-                round_span.set_attribute("outcome", "vetoed")
-                self._record(
-                    originator, op, "vetoed", amendments=amendments,
-                    reviewers=reviewers,
-                )
-                return False
-            abc.commit_plan(plan)
+            amendments = 0
+            reviewers: Tuple[str, ...] = ()
+            # NAIVE skips the review: other concern managers only find out
+            # via their own monitoring — the unsafe window of §3.2
+            if self.mode is CoordinationMode.TWO_PHASE:
+                names: List[str] = []
+                for reviewer in self.managers:  # priority order, first veto wins
+                    if reviewer is originator or not hasattr(reviewer, "review_intent"):
+                        continue
+                    names.append(reviewer.name)
+                    before = dict(plan.secured)
+                    verdict = reviewer.review_intent(originator, plan)
+                    tel.event(
+                        "intent.review", reviewer=reviewer.name, verdict=verdict is not False
+                    )
+                    if plan.secured != before:
+                        amendments += 1
+                        secured = [n for n in plan.secured if plan.secured[n]]
+                        self.trace.mark(
+                            self.now(originator),
+                            reviewer.name,
+                            Events.INTENT_AMENDED,
+                            nodes=secured,
+                        )
+                        tel.event("intent.amend", reviewer=reviewer.name)
+                    if verdict is False:
+                        abc.abort_plan(plan)
+                        self.trace.mark(
+                            self.now(originator), reviewer.name, Events.INTENT_VETOED
+                        )
+                        tel.event("intent.veto", reviewer=reviewer.name)
+                        intent_span.set_attribute("outcome", "vetoed")
+                        self._record(originator, op, "vetoed", amendments, tuple(names))
+                        return False
+                reviewers = tuple(names)
             tel.event("intent.commit", reviewers=len(reviewers), amendments=amendments)
-            round_span.set_attribute("outcome", "committed")
-            self._record(
-                originator, op, "committed", amendments=amendments,
-                reviewers=reviewers,
-            )
-            return True
+            intent_span.set_attribute("outcome", "committed")
+        with tel.span(
+            "mc.commit",
+            actor=self.name,
+            originator=originator.name,
+            nodes=[n.name for n in plan.nodes],
+        ) as commit_span:
+            admitted = len(abc.commit_plan(plan))
+            failures = len(plan.failed)
+            commit_span.set_attribute("admitted", admitted)
+            commit_span.set_attribute("failures", failures)
+        outcome = "committed" if not failures else "partial" if admitted else "failed"
+        self._record(originator, op, outcome, amendments, reviewers)
+        self._count("repro_mc_amendments_total", "plan amendments applied by reviewers", amendments)
+        self._count(
+            "repro_mc_admitted_workers_total",
+            "workers committed through the admission gate",
+            admitted,
+        )
+        self._count(
+            "repro_mc_secure_failures_total",
+            "commit steps aborted by a failed channel handshake",
+            sum(why == "secure" for why in plan.failed.values()),
+        )
+        return admitted > 0
+
+    def _count(self, metric: str, help_text: str, n: int) -> None:
+        if n and self.telemetry.enabled:
+            self.telemetry.metrics.counter(metric, help_text).labels(gm=self.name).inc(n)
 
     def _record(
         self,
-        originator: AutonomicManager,
+        originator: Any,
         op: ManagerOperation,
         outcome: str,
-        *,
         amendments: int = 0,
         reviewers: Tuple[str, ...] = (),
     ) -> None:
-        rec = IntentRecord(
-            time=originator.sim.now,
-            originator=originator.name,
-            operation=op.value,
-            outcome=outcome,
-            amendments=amendments,
-            reviewers=reviewers,
+        now = self.now(originator)
+        self.intents.append(
+            IntentRecord(now, originator.name, op.value, outcome, amendments, reviewers)
         )
-        self.intents.append(rec)
         self.trace.mark(
-            originator.sim.now,
-            "GM",
-            Events.INTENT_REVIEW,
-            originator=originator.name,
-            outcome=outcome,
+            now, self.name, Events.INTENT_REVIEW, originator=originator.name, outcome=outcome
         )
+        if self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                "repro_mc_intent_rounds_total", "intent rounds through the GM, by outcome"
+            ).labels(gm=self.name, outcome=outcome).inc()
 
     # ------------------------------------------------------------------
     # the §3.2 super-contract c̄
     # ------------------------------------------------------------------
     def super_contract(
         self, weights: Optional[List[float]] = None
-    ) -> "WeightedCompositeContract":
+    ) -> WeightedCompositeContract:
         """Derive c̄ from the registered managers' contracts.
 
         "how to derive some kind of 'summary' super-contract c̄ from
@@ -292,8 +283,6 @@ class GeneralManager:
         method assembles it from whatever the concern managers currently
         hold.
         """
-        from .contracts import WeightedCompositeContract
-
         parts = [m.contract for m in self.managers if m.contract is not None]
         if not parts:
             raise ManagerError("no registered manager holds a contract yet")
@@ -320,8 +309,9 @@ class GeneralManager:
     # ------------------------------------------------------------------
     # audit helpers
     # ------------------------------------------------------------------
-    def committed_intents(self) -> List[IntentRecord]:
-        return [r for r in self.intents if r.outcome == "committed"]
-
-    def vetoed_intents(self) -> List[IntentRecord]:
-        return [r for r in self.intents if r.outcome == "vetoed"]
+    def outcomes(self) -> Dict[str, int]:
+        """Intent outcome histogram (committed/partial/vetoed/...)."""
+        out: Dict[str, int] = {}
+        for rec in self.intents:
+            out[rec.outcome] = out.get(rec.outcome, 0) + 1
+        return out

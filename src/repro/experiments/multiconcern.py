@@ -35,7 +35,9 @@ from ..security.manager import SecurityABC, SecurityManager
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.resources import Domain, Node, ResourceManager
+from ..obs.clock import SimClock
 from ..obs.events import TraceRecorder
+from ..obs.telemetry import Telemetry
 from ..sim.workload import ConstantWork, TaskSource
 
 __all__ = ["MultiConcernConfig", "MultiConcernResult", "run_multiconcern"]
@@ -91,13 +93,20 @@ class MultiConcernResult:
         return self.leaks == 0
 
 
-def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcernResult:
+def run_multiconcern(
+    config: Optional[MultiConcernConfig] = None, *, telemetry: Optional[Telemetry] = None
+) -> MultiConcernResult:
+    """Run the scenario; ``telemetry`` (optional, on the simulated clock)
+    records the managers' MAPE cycles and the GM's intent rounds."""
     cfg = config or MultiConcernConfig()
     mode = (
         CoordinationMode.TWO_PHASE if cfg.mode == "two-phase" else CoordinationMode.NAIVE
     )
-    sim = Simulator()
+    sim = Simulator(telemetry=telemetry)
     trace = TraceRecorder()
+    if telemetry is not None:
+        telemetry.clock = SimClock(sim)
+        telemetry.trace = trace
     network = Network(secure_factor=cfg.secure_factor)
 
     lan = Domain("lan", trusted=True)
@@ -121,6 +130,7 @@ def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcer
         constants_kwargs={"add_burst": 1, "max_workers": len(nodes)},
         spawn_worker_managers=False,
         emitter_node=Node("frontend", domain=lan),
+        telemetry=telemetry,
     )
 
     policy = SecurityPolicy()
@@ -130,11 +140,12 @@ def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcer
         sim,
         sec_abc,
         trace=trace,
+        telemetry=telemetry,
         control_period=cfg.sec_control_period,
     )
     sec_manager.assign_contract(SecurityContract())
 
-    gm = GeneralManager(mode=mode, trace=trace)
+    gm = GeneralManager(mode=mode, trace=trace, telemetry=telemetry)
     gm.register(sec_manager)            # boolean concern: priority 10
     gm.register(bs.manager, priority=0)
 

@@ -83,6 +83,9 @@ class PlannedReconfiguration:
 
     nodes: List[Node]
     secured: Dict[str, bool] = field(default_factory=dict)
+    #: node name → why the commit could not admit an executor there
+    #: (a live substrate out of capacity, or a failed handshake)
+    failed: Dict[str, str] = field(default_factory=dict)
     committed: bool = False
     aborted: bool = False
 

@@ -564,23 +564,23 @@ def explain_tenant(
 # ----------------------------------------------------------------------
 
 
+def _descendants(index, span: Span):
+    for kid in index.get(span.span_id, []):
+        yield kid
+        yield from _descendants(index, kid)
+
+
 def find_actuations(spans: Sequence[Span]) -> List[Span]:
     """Every span that *decided* something: MAPE cycles that fired at
     least one rule, plus intent rounds not already under such a cycle."""
     index = children_index(spans)
-
-    def descendants(span: Span):
-        for kid in index.get(span.span_id, []):
-            yield kid
-            yield from descendants(kid)
-
     cycles = []
     covered = set()
     for span in spans:
         if span.name != "mape.cycle":
             continue
         fired = False
-        for d in descendants(span):
+        for d in _descendants(index, span):
             if d.name == "mape.execute" and d.attributes.get("fired"):
                 fired = True
             if d.name in ("mc.intent", "mc.commit"):
@@ -782,18 +782,29 @@ def _list_traces(spans: Sequence[Span], out: TextIO) -> None:
         )
 
 
+def _intent_summary(span: Span) -> str:
+    amended = [e.attributes.get("reviewer") for e in span.events if e.name == "intent.amend"]
+    return (
+        f"{span.attributes.get('originator')} → {span.attributes.get('operation')} "
+        f"[{span.attributes.get('outcome', 'open')}]"
+        + (f" amended by {', '.join(map(str, amended))}" if amended else "")
+    )
+
+
 def _list_actuations(spans: Sequence[Span], out: TextIO) -> None:
     actuations = find_actuations(spans)
     if not actuations:
         print("no actuations recorded (no rule fired, no intent raised)", file=out)
         return
+    index = children_index(spans)
     for i, span in enumerate(actuations, start=1):
-        detail = ""
         if span.name == "mc.intent":
-            detail = (
-                f" {span.attributes.get('originator')} → "
-                f"{span.attributes.get('operation')} "
-                f"[{span.attributes.get('outcome', 'open')}]"
+            detail = " " + _intent_summary(span)
+        else:  # a MAPE cycle: name the intent rounds it raised
+            detail = "".join(
+                f"; mc.intent by {s.actor}: {_intent_summary(s)}"
+                for s in _descendants(index, span)
+                if s.name == "mc.intent"
             )
         print(f"#{i}  t={span.start:9.3f}  {span.name}  by {span.actor}{detail}", file=out)
 

@@ -126,12 +126,6 @@ class FarmController(FarmManager):
         with self._cycle_lock:
             return super().control_step()
 
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop ticking and wait up to ``timeout`` for an in-flight tick;
-        ``timeout=0`` stops the loop without waiting (a simulated kill)."""
-        if self.loop is not None:
-            self.loop.cancel(timeout)
-
     # -- the (time, text) views ShardAgent reports and the examples print --
     @property
     def actions(self) -> List[Tuple[float, str]]:

@@ -55,6 +55,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Set, Tuple
 
+from ..obs.clock import Ticker
 from ..obs.telemetry import Telemetry
 from .dist_proto import (
     PROTOCOL_VERSION,
@@ -261,7 +262,6 @@ class DistFarm(FarmCore):
         self.heartbeat_period = heartbeat_period
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_grace = connect_grace
-        self.supervise_period = supervise_period
         self.max_inflight = max_inflight
         self._host = host
         self.epoch = epoch
@@ -273,7 +273,6 @@ class DistFarm(FarmCore):
 
         self._shutdown = threading.Event()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._supervisor_task: Optional[asyncio.Task] = None
         self.port: int = 0
 
         self._loop = asyncio.new_event_loop()
@@ -284,6 +283,9 @@ class DistFarm(FarmCore):
         self._loop_thread.start()
         if not self._loop_ready.wait(start_timeout):
             raise RuntimeError("coordinator event loop failed to start")
+        self._supervisor = Ticker(telemetry=self.telemetry).periodic(
+            supervise_period, self.supervise_once, name=f"{name}-supervisor"
+        )
 
         try:
             for _ in range(initial_workers):
@@ -304,7 +306,6 @@ class DistFarm(FarmCore):
                 self._on_connection, self._host, self._requested_port
             )
             self.port = self._server.sockets[0].getsockname()[1]
-            self._supervisor_task = self._loop.create_task(self._supervise_coro())
 
         self._loop.run_until_complete(boot())
         self._loop_ready.set()
@@ -718,14 +719,6 @@ class DistFarm(FarmCore):
     # ------------------------------------------------------------------
     # supervision: liveness + replay of due retries
     # ------------------------------------------------------------------
-    async def _supervise_coro(self) -> None:
-        while True:
-            await asyncio.sleep(self.supervise_period)
-            try:
-                self.supervise_once()
-            except Exception:  # noqa: BLE001 - the supervisor must survive
-                continue
-
     def supervise_once(self) -> List[int]:
         """One supervision pass (public so tests can drive it directly).
 
@@ -1094,6 +1087,7 @@ class DistFarm(FarmCore):
         if self._shutdown.is_set():
             return []
         self._shutdown.set()
+        self._supervisor.halt()
         with self._lock:
             survivors: List[DistWorkerHandle] = []
             self._abandon_tasks()
@@ -1117,6 +1111,7 @@ class DistFarm(FarmCore):
         if self._shutdown.is_set():
             return
         self._shutdown.set()
+        self._supervisor.cancel(1.0)
         with self._lock:
             workers = list(self.workers)
             poison = encode_frame_v4({"type": "poison"})

@@ -1,68 +1,60 @@
-"""Live multi-concern coordination: the GM over a real :class:`FarmBackend`.
+"""Live multi-concern coordination: the simulated GM over a real farm.
 
-Section 3.2's coordination design — multiple per-concern autonomic
-managers plus a general super-AM running the two-phase intent protocol —
-exists in the simulator as :class:`repro.core.multiconcern.GeneralManager`.
-This module is the same protocol executed against *wall-clock* substrates:
-the thread, process and dist farms, all behind the
-:class:`~repro.runtime.backend.FarmBackend` admission gate.
-
-The moving parts:
+Section 3.2's coordination design — per-concern autonomic managers plus
+a general super-AM running the two-phase intent protocol — is
+:class:`repro.core.multiconcern.GeneralManager`.  This module runs that
+one class against *wall-clock* substrates (the thread, process and dist
+farms, behind the :class:`~repro.runtime.backend.FarmBackend` admission
+gate) by swapping two things: the surface an intent plans over and the
+clock that stamps it.
 
 * :class:`WorkerPlacement` maps live farm workers onto the nodes of a
   :class:`~repro.sim.resources.ResourceManager`, so the domain/trust
   model (which node sits on untrusted ground) drives live securing
   decisions exactly as it drives simulated ones.
-* :class:`LiveGeneralManager` coordinates a performance
-  :class:`~repro.runtime.controller.FarmController` and a live security
-  manager (:class:`~repro.security.manager.LiveSecurityManager`) over
-  one farm.  A grow intent runs plan → review → commit:
-
-  1. **plan** — reserve nodes from the placement pool;
-  2. **review** — every registered concern manager, in priority order
-     (boolean concerns such as security outrank quantitative ones), may
-     *amend* the plan (``require_secure``) or *veto* it — the shared
-     :func:`repro.core.multiconcern.review_plan` phase, so sim and live
-     review semantics cannot drift;
-  3. **commit** — each worker is instantiated **quarantined** (the
-     backend's admission gate guarantees no task is dispatched to it),
-     its channel is secured where the plan demands it (a real wire
-     handshake on the dist farm), and only then is it admitted into the
-     dispatch set.
-
-  The ``NAIVE`` mode is the ablation baseline: workers are instantiated
-  immediately, unsecured and admitted — the leak window §3.2 warns
-  about, measurable live as a non-zero
+* :class:`PlacementABC` is the live plan/commit/abort surface: a plan
+  reserves placement nodes, an abort releases them, and a commit brings
+  each worker up **quarantined** (the backend's admission gate keeps
+  every task off it), secures its channel where the review amended the
+  plan (a real wire handshake on the dist farm, which also bounces any
+  task frame that beats it), binds it to its node and only then admits
+  it into the dispatch set.  In ``NAIVE`` mode — the ablation baseline —
+  workers are instantiated unsecured and dispatchable at once: the leak
+  window §3.2 warns about, measurable live as a non-zero
   ``repro_mc_insecure_dispatch_total``.
-
-Telemetry: one ``mc.intent`` span per review round and one ``mc.commit``
-span per commit, with ``mc.quarantine``/``mc.secured``/``mc.admit``
-events per worker, plus ``repro_mc_*`` counters — the observable account
-of "no task ever reached an unsecured worker".
+* :class:`LiveGeneralManager` is the GM over a :class:`PlacementABC`
+  and ``farm.now()``: it coordinates a performance
+  :class:`~repro.runtime.controller.FarmController` and a
+  :class:`~repro.security.manager.LiveSecurityManager` over one farm,
+  with the simulated GM's review order, outcomes, audit record,
+  ``mc.intent``/``mc.commit`` spans and ``repro_mc_*`` counters.  The
+  commit adds ``mc.quarantine``/``mc.secured``/``mc.admit`` events per
+  worker — the observable account of "no task ever reached an
+  unsecured worker".
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..core.multiconcern import CoordinationMode, IntentRecord, review_plan
+from ..core.multiconcern import CoordinationMode, GeneralManager
 from ..gcm.abc_controller import PlannedReconfiguration
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import ManagerOperation
-from ..sim.resources import Node, NodePredicate, ResourceManager, any_node
+from ..sim.resources import Node, ResourceManager
 
-__all__ = ["WorkerPlacement", "LiveGeneralManager"]
+__all__ = ["WorkerPlacement", "PlacementABC", "LiveGeneralManager"]
 
 
 class WorkerPlacement:
     """Binds live farm worker ids to resource-manager nodes.
 
     The farm knows workers; the security policy knows nodes and domains.
-    This is the joint between them: the GM reserves nodes here before
-    growing, binds each new worker id to its node, and the security
-    manager consults the binding to decide which live channels cross
-    untrusted ground.
+    This is the joint between them: the GM reserves nodes from
+    ``resources`` before growing, binds each new worker id to its node,
+    and the security manager consults the binding to decide which live
+    channels cross untrusted ground.
     """
 
     def __init__(self, resources: ResourceManager) -> None:
@@ -70,27 +62,9 @@ class WorkerPlacement:
         self._bindings: Dict[int, Node] = {}
         self._lock = threading.Lock()
 
-    def reserve(
-        self, count: int, predicate: NodePredicate = any_node
-    ) -> Optional[List[Node]]:
-        """Allocate ``count`` nodes, or None if the pool cannot satisfy it."""
-        nodes = self.resources.try_recruit(count, predicate)
-        return nodes or None
-
-    def release(self, nodes: List[Node]) -> None:
-        self.resources.release_all(nodes)
-
     def bind(self, worker_id: int, node: Node) -> None:
         with self._lock:
             self._bindings[worker_id] = node
-
-    def unbind(self, worker_id: int) -> Optional[Node]:
-        """Drop a binding (worker retired/dead) and free its node."""
-        with self._lock:
-            node = self._bindings.pop(worker_id, None)
-        if node is not None:
-            self.resources.release(node)
-        return node
 
     def node_of(self, worker_id: int) -> Optional[Node]:
         with self._lock:
@@ -102,166 +76,56 @@ class WorkerPlacement:
             return dict(self._bindings)
 
 
-class LiveGeneralManager:
-    """The super-AM coordinating concern managers over one live farm.
+class PlacementABC:
+    """Grow plans for a live farm, placed on :class:`WorkerPlacement` nodes.
 
-    Counterpart of the simulated
-    :class:`~repro.core.multiconcern.GeneralManager`; registration and
-    review semantics are identical (boolean concerns default to priority
-    10, reviews run in priority order, first veto wins), but commit is
-    the live three-step: quarantine → secure → admit through the
-    backend's admission gate.
+    The live counterpart of :class:`~repro.gcm.abc_controller.FarmABC`'s
+    plan/commit/abort split; ``gated`` (two-phase coordination) sends
+    every new worker through the admission gate.
     """
-
-    #: concerns that are boolean and therefore outrank quantitative ones
-    BOOLEAN_CONCERNS = frozenset({"security"})
 
     def __init__(
         self,
         farm: Any,
         placement: WorkerPlacement,
         *,
-        mode: CoordinationMode = CoordinationMode.TWO_PHASE,
-        telemetry: Optional[Telemetry] = None,
-        name: str = "GM_live",
-        journal: Optional[Any] = None,
+        gated: bool = True,
+        telemetry: Telemetry = NOOP,
     ) -> None:
         self.farm = farm
         self.placement = placement
-        self.mode = mode
-        self.telemetry = telemetry if telemetry is not None else NOOP
-        self.name = name
-        #: optional DispatchJournal: every intent round that reaches an
-        #: outcome is journaled, so a supervisor replay knows what the
-        #: dead GM had committed (journal↔audit unification)
-        self.journal = journal
-        self._managers: List[Tuple[int, Any]] = []
-        self.intents: List[IntentRecord] = []
-        #: one intent round at a time: concurrent controllers must not
-        #: interleave their reserve/review/commit sequences
-        self._lock = threading.RLock()
+        self.gated = gated
+        self.telemetry = telemetry
 
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    def register(self, manager: Any, *, priority: Optional[int] = None) -> None:
-        """Attach a concern manager; boolean concerns default to priority 10.
+    def plan_add_workers(self, count: int = 1) -> Optional[PlannedReconfiguration]:
+        """Reserve ``count`` nodes; None if the pool cannot satisfy it."""
+        nodes = self.placement.resources.try_recruit(count)
+        return PlannedReconfiguration(nodes) if nodes else None
 
-        Registration installs this GM as the manager's coordinator, so
-        its grow actuations route through :meth:`execute_intent`.
-        """
-        if priority is None:
-            concern = getattr(manager, "concern", "")
-            priority = 10 if concern in self.BOOLEAN_CONCERNS else 0
-        self._managers.append((priority, manager))
-        self._managers.sort(key=lambda t: -t[0])
-        manager.coordinator = self
+    def abort_plan(self, plan: PlannedReconfiguration) -> None:
+        """Hand the plan's reserved nodes back to the pool."""
+        plan.aborted = True
+        self.placement.resources.release_all(plan.nodes)
 
-    @property
-    def managers(self) -> List[Any]:
-        """Registered managers in review (priority) order."""
-        return [m for _, m in self._managers]
+    def commit_plan(self, plan: PlannedReconfiguration) -> List[int]:
+        """Phase two: bring each planned worker up through the gate.
 
-    # ------------------------------------------------------------------
-    # the intent protocol, live
-    # ------------------------------------------------------------------
-    def execute_intent(
-        self, originator: Any, op: ManagerOperation, data: Any = None
-    ) -> bool:
-        """Run one grow intent through plan → review → commit.
-
-        Only ``ADD_EXECUTOR`` has a plan/commit split; anything else is
-        refused (the caller falls back to its local actuator path).
-        Returns True iff at least one worker was admitted.
-        """
-        if op is not ManagerOperation.ADD_EXECUTOR:
-            return False
-        count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
-        tel = self.telemetry
-        originator_name = getattr(originator, "name", str(originator))
-        with self._lock:
-            with tel.span(
-                "mc.intent",
-                actor=self.name,
-                originator=originator_name,
-                operation=op.value,
-                mode=self.mode.value,
-            ) as intent_span:
-                nodes = self.placement.reserve(count)
-                tel.event("intent.plan", count=count, ok=nodes is not None)
-                if nodes is None:
-                    intent_span.set_attribute("outcome", "no-plan")
-                    self._record(originator_name, op, "no-plan")
-                    return False
-                plan = PlannedReconfiguration(nodes)
-                amendments = 0
-                reviewers: Tuple[str, ...] = ()
-                if self.mode is CoordinationMode.TWO_PHASE:
-                    ok, amendments, reviewers = review_plan(
-                        originator, plan, self.managers, telemetry=tel
-                    )
-                    if not ok:
-                        plan.aborted = True
-                        self.placement.release(nodes)
-                        intent_span.set_attribute("outcome", "vetoed")
-                        self._record(
-                            originator_name,
-                            op,
-                            "vetoed",
-                            amendments=amendments,
-                            reviewers=reviewers,
-                        )
-                        return False
-                intent_span.set_attribute("outcome", "committed")
-            with tel.span(
-                "mc.commit",
-                actor=self.name,
-                originator=originator_name,
-                nodes=[n.name for n in plan.nodes],
-            ) as commit_span:
-                admitted, failures = self._commit(plan)
-                commit_span.set_attribute("admitted", admitted)
-                commit_span.set_attribute("failures", failures)
-            plan.committed = True
-            if failures == 0:
-                outcome = "committed"
-            elif admitted:
-                outcome = "partial"
-            else:
-                outcome = "failed"
-            self._record(
-                originator_name,
-                op,
-                outcome,
-                amendments=amendments,
-                reviewers=reviewers,
-            )
-            if amendments and tel.enabled:
-                tel.metrics.counter(
-                    "repro_mc_amendments_total", "plan amendments applied by reviewers"
-                ).labels(gm=self.name).inc(amendments)
-            return admitted > 0
-
-    def _commit(self, plan: PlannedReconfiguration) -> Tuple[int, int]:
-        """Phase two: instantiate each planned worker through the gate.
-
-        Two-phase order per node: ``add_worker(quarantined=True)`` (the
+        Gated order per node: ``add_worker(quarantined=True)`` (the
         backend dispatcher cannot touch it), then — where the plan was
-        amended — ``secure_worker`` (a real handshake on the dist farm),
-        then ``admit_worker``.  A worker whose securing fails is *left
-        quarantined*: it holds a slot but can never receive a task,
-        which is the safe failure mode.
+        amended — ``secure_worker``, then ``admit_worker``.  A worker
+        whose securing fails is *left quarantined*: it holds a slot but
+        can never receive a task, which is the safe failure mode.
 
-        Returns ``(admitted, failures)``.
+        Returns the admitted worker ids; ``plan.failed`` says why each
+        other node got no admitted worker.
         """
+        plan.committed = True
         tel = self.telemetry
-        naive = self.mode is CoordinationMode.NAIVE
-        admitted = 0
-        failures = 0
+        admitted: List[int] = []
         for node in plan.nodes:
             needs_secure = bool(plan.secured.get(node.name))
             kwargs: Dict[str, Any] = {}
-            if not naive:
+            if self.gated:
                 kwargs["quarantined"] = True
                 if needs_secure and getattr(self.farm, "SUPPORTS_REQUIRE_SECURE", False):
                     # double-ended gate: the dist worker itself bounces
@@ -271,81 +135,73 @@ class LiveGeneralManager:
                 handle = self.farm.add_worker(**kwargs)
             except RuntimeError:
                 # substrate capacity exhausted: hand the node back
-                self.placement.release([node])
-                failures += 1
+                self.placement.resources.release(node)
+                plan.failed[node.name] = "capacity"
                 tel.event("mc.no_capacity", node=node.name)
                 continue
             worker_id = handle.worker_id
             self.placement.bind(worker_id, node)
-            if naive:
+            if not self.gated:
                 # phase-less instantiation: live and dispatchable right
                 # away, unsecured — the §3.2 leak window, on purpose
-                admitted += 1
+                admitted.append(worker_id)
                 tel.event("mc.admit", worker=worker_id, node=node.name, naive=True)
                 continue
             tel.event("mc.quarantine", worker=worker_id, node=node.name)
             if needs_secure:
                 if not self.farm.secure_worker(worker_id):
-                    failures += 1
+                    plan.failed[node.name] = "secure"
                     tel.event("mc.secure_failed", worker=worker_id, node=node.name)
-                    if tel.enabled:
-                        tel.metrics.counter(
-                            "repro_mc_secure_failures_total",
-                            "commit steps aborted by a failed channel handshake",
-                        ).labels(gm=self.name).inc()
                     continue
                 tel.event("mc.secured", worker=worker_id, node=node.name)
             if self.farm.admit_worker(worker_id):
-                admitted += 1
+                admitted.append(worker_id)
                 tel.event("mc.admit", worker=worker_id, node=node.name)
-                if tel.enabled:
-                    tel.metrics.counter(
-                        "repro_mc_admitted_workers_total",
-                        "workers committed through the admission gate",
-                    ).labels(gm=self.name).inc()
             else:
-                failures += 1
-        return admitted, failures
+                plan.failed[node.name] = "admit"
+        return admitted
 
-    # ------------------------------------------------------------------
-    # audit
-    # ------------------------------------------------------------------
-    def _record(
+
+class LiveGeneralManager(GeneralManager):
+    """The super-AM coordinating concern managers over one live farm.
+
+    :class:`~repro.core.multiconcern.GeneralManager` with a
+    :class:`PlacementABC` as every intent's surface and ``farm.now()``
+    as its clock; rounds run one at a time.
+    """
+
+    def __init__(
         self,
-        originator: str,
-        op: ManagerOperation,
-        outcome: str,
+        farm: Any,
+        placement: WorkerPlacement,
         *,
-        amendments: int = 0,
-        reviewers: Tuple[str, ...] = (),
+        mode: CoordinationMode = CoordinationMode.TWO_PHASE,
+        telemetry: Optional[Telemetry] = None,
+        name: str = "GM_live",
     ) -> None:
-        self.intents.append(
-            IntentRecord(
-                time=self.farm.now(),
-                originator=originator,
-                operation=op.value,
-                outcome=outcome,
-                amendments=amendments,
-                reviewers=reviewers,
-            )
+        super().__init__(mode=mode, telemetry=telemetry)
+        self.farm = farm
+        self.placement = placement
+        self.name = name
+        self.abc = PlacementABC(
+            farm,
+            placement,
+            gated=mode is CoordinationMode.TWO_PHASE,
+            telemetry=self.telemetry,
         )
-        if self.journal is not None:
-            self.journal.append(
-                {
-                    "ev": "intent",
-                    "originator": originator,
-                    "operation": op.value,
-                    "outcome": outcome,
-                }
-            )
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_mc_intent_rounds_total", "intent rounds through the GM, by outcome"
-            ).labels(gm=self.name, outcome=outcome).inc()
+        #: one intent round at a time: concurrent controllers must not
+        #: interleave their reserve/review/commit sequences
+        self._lock = threading.RLock()
 
-    def outcomes(self) -> Dict[str, int]:
-        """Intent outcome histogram (committed/vetoed/no-plan/...)."""
-        out: Dict[str, int] = {}
-        for rec in self.intents:
-            out[rec.outcome] = out.get(rec.outcome, 0) + 1
-        return out
+    def intent_abc(self, originator: Any) -> PlacementABC:
+        return self.abc
+
+    def now(self, originator: Any) -> float:
+        return self.farm.now()
+
+    def execute_intent(
+        self, originator: Any, op: ManagerOperation, data: Any = None
+    ) -> bool:
+        """The GM's intent round under the one-round-at-a-time lock."""
+        with self._lock:
+            return super().execute_intent(originator, op, data)

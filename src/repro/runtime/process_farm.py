@@ -206,7 +206,6 @@ class ProcessFarm(FarmCore):
         self.fn = fn
         self.heartbeat_period = heartbeat_period
         self.heartbeat_timeout = heartbeat_timeout
-        self.supervise_period = supervise_period
         self._ctx = multiprocessing.get_context(start_method or default_start_method())
         self._result_q: "multiprocessing.Queue" = self._ctx.Queue()
 

@@ -14,7 +14,14 @@ multi-concern coordination in two ways:
   phase two of the two-phase intent protocol: when AM_perf proposes new
   workers, any reserved node in an untrusted domain gets its plan entry
   amended to ``secure`` *before* instantiation, so not a single message
-  leaks.
+  leaks; a node in one of ``veto_domains`` (none unless configured, so
+  the simulated manager never vetoes) kills the whole plan instead.
+
+One manager for both substrates: :class:`LiveSecurityManager` is
+:class:`SecurityManager` on a wall-clock :class:`~repro.obs.clock.Ticker`
+over a :class:`LiveSecurityABC`, whose monitor counts exposed workers
+over the live placement bindings and whose ``SECURE_CHANNEL`` actuator
+secures each one through ``farm.secure_worker``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from ..gcm.abc_controller import (
     FarmABC,
     PlannedReconfiguration,
 )
-from ..obs.clock import PeriodicThread, Ticker
+from ..obs.clock import Ticker
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import Bean, ManagerOperation
 from ..rules.dsl import rule, value_gt
@@ -42,6 +49,7 @@ from .domains import SecurityPolicy
 __all__ = [
     "SecurityABC",
     "SecurityManager",
+    "LiveSecurityABC",
     "LiveSecurityManager",
     "ExposureBean",
     "LeakBean",
@@ -101,18 +109,23 @@ class SecurityABC(AutonomicBehaviourController):
 
     def execute(self, op: ManagerOperation, data: Any = None) -> bool:
         if op is ManagerOperation.SECURE_CHANNEL:
-            exposed = self.exposed_workers()
-            for fabc in self.farm_abcs:
-                for w in exposed:
-                    if w.farm is fabc.farm:
-                        fabc.farm.secure_worker(w)
-                        self.secured_actions += 1
+            for exposed in self.exposed_workers():
+                if self.secure(exposed):
+                    self.secured_actions += 1
             return True
         raise ValueError(f"SecurityABC does not implement {op}")
+
+    def secure(self, worker: Any) -> bool:
+        """Secure one exposed worker's channel; True once it is."""
+        worker.farm.secure_worker(worker)
+        return True
 
 
 class SecurityManager(AutonomicManager, ConcernReview):
     """AM_sec: keeps every channel crossing untrusted ground secured."""
+
+    #: domains whose nodes a plan may not use at all (none by default)
+    veto_domains: FrozenSet[str] = frozenset()
 
     def __init__(
         self,
@@ -124,7 +137,14 @@ class SecurityManager(AutonomicManager, ConcernReview):
         kwargs.setdefault("concern", "security")
         super().__init__(name, sim, abc=abc, **kwargs)
         self.security_abc = abc
+        self.amendments = 0
+        self.vetoes = 0
         self.engine.add_rules(self._rules())
+
+    @property
+    def secured_actions(self) -> int:
+        """Channels the reactive loop has secured so far."""
+        return self.security_abc.secured_actions
 
     def _rules(self):
         def secure_exposed(act):
@@ -178,78 +198,53 @@ class SecurityManager(AutonomicManager, ConcernReview):
     def review_intent(
         self, originator: AutonomicManager, plan: PlannedReconfiguration
     ) -> bool:
-        """Amend the plan: any untrusted reserved node must run secured.
+        """Amend untrusted nodes to run secured; veto forbidden domains.
 
-        Never vetoes — security is always *achievable* by securing the
-        channel; it just costs throughput (the perf/sec trade-off the
-        paper leaves to the GM's contract arithmetic).
+        A node in one of :attr:`veto_domains` must not host a worker even
+        over a secured channel (trust was revoked outright), so the whole
+        plan dies and the originator's grow intent fails closed.  Any
+        other untrusted node is *achievable* by securing its channel; that
+        just costs throughput (the perf/sec trade-off the paper leaves to
+        the GM's contract arithmetic).
         """
+        for node in plan.nodes:
+            if node.domain.name in self.veto_domains:
+                self.vetoes += 1
+                self.telemetry.event(
+                    "security.veto", node=node.name, domain=node.domain.name
+                )
+                return False
         amended = []
         for node in plan.nodes:
             if not self.security_abc.policy.node_trusted(node):
                 plan.require_secure(node)
-                amended.append(node)
-        if amended and self.telemetry.enabled:
+                amended.append(node.name)
+        if amended:
+            self.amendments += len(amended)
             self.telemetry.event("security.amend", nodes=amended)
         return True
 
 
-class LiveSecurityManager(ConcernReview):
-    """AM_sec over a live :class:`~repro.runtime.backend.FarmBackend`.
-
-    The wall-clock counterpart of :class:`SecurityManager`, built for
-    the live GM (:class:`~repro.runtime.multiconcern.LiveGeneralManager`)
-    rather than the simulator.  Same two faces:
-
-    * **reactively** — :meth:`control_step` (run on a wall-clock
-      :class:`~repro.obs.clock.Ticker`, like the performance
-      :class:`~repro.runtime.controller.FarmController`)
-      scans the farm for exposed workers — unsecured channels whose
-      bound node sits on untrusted ground, per the
-      :class:`~repro.runtime.multiconcern.WorkerPlacement` binding — and
-      secures them on the spot.  On the dist farm that is a real wire
-      handshake.  This path alone is the late defence; under naive
-      coordination, tasks dispatched before this tick travel plaintext.
-    * **proactively** — :meth:`review_intent` amends grow plans so every
-      untrusted node is secured *before* admission, and can veto
-      outright when a reserved node belongs to a domain in
-      ``veto_domains`` (e.g. a domain whose trust was revoked mid-run
-      and must not host workers at all).
-    """
-
-    #: boolean concern → the GM defaults this manager to priority 10
-    concern = "security"
+class LiveSecurityABC(SecurityABC):
+    """The security ABC of one live farm, read off placement bindings."""
 
     def __init__(
         self,
         farm: Any,
         placement: Any,
-        *,
-        policy: Optional[SecurityPolicy] = None,
-        emitter_node: Optional[Node] = None,
-        veto_domains: Tuple[str, ...] = (),
-        control_period: float = 0.25,
-        telemetry: Optional[Telemetry] = None,
-        name: str = "AM_sec_live",
+        policy: SecurityPolicy,
+        emitter_node: Node,
+        telemetry: Telemetry,
+        manager: str,
     ) -> None:
-        if control_period <= 0:
-            raise ValueError("control_period must be positive")
+        super().__init__([], None, policy)
         self.farm = farm
         self.placement = placement
-        self.policy = policy if policy is not None else SecurityPolicy()
         #: where the emitter/collector run — one end of every channel
-        self.emitter_node = emitter_node or Node("emitter", domain=TRUSTED_DEFAULT)
-        self.veto_domains = frozenset(veto_domains)
-        self.control_period = control_period
-        self.telemetry = telemetry if telemetry is not None else NOOP
-        self.name = name
-        self.coordinator: Optional[Any] = None
-        self.secured_actions = 0
-        self.amendments = 0
-        self.vetoes = 0
-        self.loop: Optional[PeriodicThread] = None
+        self.emitter_node = emitter_node
+        self.telemetry = telemetry
+        self.manager = manager
 
-    # -- monitoring --------------------------------------------------------
     def exposed_workers(self) -> List[Tuple[int, Node]]:
         """``(worker_id, node)`` for every live channel violating policy.
 
@@ -273,67 +268,63 @@ class LiveSecurityManager(ConcernReview):
                 exposed.append((w.worker_id, node))
         return exposed
 
-    # -- MAPE tick (public so tests can drive it deterministically) --------
-    def control_step(self) -> List[int]:
-        """One reactive tick: find exposed workers, secure their channels."""
+    def secure(self, worker: Tuple[int, Node]) -> bool:
+        worker_id, node = worker
+        if not self.farm.secure_worker(worker_id):
+            return False
         tel = self.telemetry
-        secured: List[int] = []
-        with tel.span("mape.cycle", actor=self.name) as cycle:
-            exposed = self.exposed_workers()
-            if tel.enabled:
-                tel.metrics.gauge(
-                    "repro_security_exposed_workers",
-                    "workers with unsecured channels to untrusted nodes",
-                ).labels(manager=self.name).set(len(exposed))
-                cycle.set_attribute("exposed", len(exposed))
-            for worker_id, node in exposed:
-                if self.farm.secure_worker(worker_id):
-                    secured.append(worker_id)
-                    self.secured_actions += 1
-                    tel.event(
-                        "security.secure", worker=worker_id, node=node.name
-                    )
-                    if tel.enabled:
-                        tel.metrics.counter(
-                            "repro_mc_reactive_secured_total",
-                            "channels secured reactively, after instantiation",
-                        ).labels(manager=self.name).inc()
-        return secured
-
-    # -- loop lifecycle ----------------------------------------------------
-    def start(self) -> "LiveSecurityManager":
-        if self.loop is None or self.loop.cancelled:
-            self.loop = Ticker(telemetry=self.telemetry).periodic(
-                self.control_period, self.control_step, name=f"{self.name}.loop"
-            )
-        return self
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self.loop is not None:
-            self.loop.cancel(timeout)
-
-    # -- two-phase protocol (phase 2) --------------------------------------
-    def review_intent(self, originator: Any, plan: PlannedReconfiguration) -> bool:
-        """Amend untrusted nodes to run secured; veto forbidden domains.
-
-        Unlike the simulated manager this one *can* veto: a node in one
-        of ``veto_domains`` must not host a worker even over a secured
-        channel (trust was revoked outright), so the whole plan dies and
-        the originator's grow intent fails closed.
-        """
-        for node in plan.nodes:
-            if node.domain.name in self.veto_domains:
-                self.vetoes += 1
-                self.telemetry.event(
-                    "security.veto", node=node.name, domain=node.domain.name
-                )
-                return False
-        amended = []
-        for node in plan.nodes:
-            if not self.policy.node_trusted(node):
-                plan.require_secure(node)
-                amended.append(node.name)
-        if amended:
-            self.amendments += len(amended)
-            self.telemetry.event("security.amend", nodes=amended)
+        tel.event("security.secure", worker=worker_id, node=node.name)
+        if tel.enabled:
+            tel.metrics.counter(
+                "repro_mc_reactive_secured_total",
+                "channels secured reactively, after instantiation",
+            ).labels(manager=self.manager).inc()
         return True
+
+
+class LiveSecurityManager(SecurityManager):
+    """AM_sec over a live :class:`~repro.runtime.backend.FarmBackend`.
+
+    :class:`SecurityManager` — same ``SecureExposedWorkers`` rule, beans,
+    gauges and :meth:`review_intent` — on a wall-clock
+    :class:`~repro.obs.clock.Ticker` over a :class:`LiveSecurityABC`,
+    registered with the live GM
+    (:class:`~repro.runtime.multiconcern.LiveGeneralManager`).  Its
+    reactive tick secures every exposed worker — an unsecured channel
+    whose bound node sits on untrusted ground, per the
+    :class:`~repro.runtime.multiconcern.WorkerPlacement` binding — on
+    the spot; on the dist farm that is a real wire handshake.  That path
+    alone is the late defence: under naive coordination, tasks
+    dispatched before the tick travel plaintext.
+    """
+
+    def __init__(
+        self,
+        farm: Any,
+        placement: Any,
+        *,
+        policy: Optional[SecurityPolicy] = None,
+        emitter_node: Optional[Node] = None,
+        veto_domains: Tuple[str, ...] = (),
+        control_period: float = 0.25,
+        telemetry: Optional[Telemetry] = None,
+        name: str = "AM_sec_live",
+    ) -> None:
+        abc = LiveSecurityABC(
+            farm,
+            placement,
+            policy if policy is not None else SecurityPolicy(),
+            emitter_node or Node("emitter", domain=TRUSTED_DEFAULT),
+            telemetry if telemetry is not None else NOOP,
+            name,
+        )
+        super().__init__(
+            name,
+            Ticker(farm.now, telemetry),
+            abc,
+            telemetry=telemetry,
+            control_period=control_period,
+            autostart=False,
+        )
+        self.veto_domains = frozenset(veto_domains)
+        self.assign_contract(SecurityContract())

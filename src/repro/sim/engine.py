@@ -469,8 +469,10 @@ class PeriodicTask:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    def cancel(self) -> None:
-        """Stop future invocations (idempotent)."""
+    def cancel(self, timeout: Optional[float] = None) -> None:
+        """Stop future invocations (idempotent).  ``timeout`` mirrors
+        :meth:`repro.obs.clock.PeriodicThread.cancel`; no DES tick is
+        ever in flight to wait for."""
         self._cancelled = True
         if self._handle is not None:
             self._handle.cancel()

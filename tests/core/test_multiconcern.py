@@ -82,7 +82,7 @@ class TestTwoPhaseProtocol:
         new_workers = [w for w in bs.farm.workers if not w.node.trusted]
         assert len(new_workers) == 2
         assert all(w.secured for w in new_workers)
-        assert gm.committed_intents()
+        assert gm.outcomes().get("committed")
         assert gm.intents[-1].amendments == 1
 
     def test_trusted_plan_not_amended(self):
@@ -114,7 +114,7 @@ class TestTwoPhaseProtocol:
         ok = gm.execute_intent(bs.manager, ManagerOperation.ADD_EXECUTOR, {"count": 1})
         assert not ok
         assert rm.allocated_count == allocated_before  # reservation released
-        assert gm.vetoed_intents()
+        assert gm.outcomes().get("vetoed")
 
     def test_non_add_operations_pass_through(self):
         sim, bs, sec, gm, network, rm = setup()

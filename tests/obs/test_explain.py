@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.core.multiconcern import CoordinationMode
+from repro.experiments.multiconcern import MultiConcernConfig, run_multiconcern
 from repro.obs import Telemetry
 from repro.obs.explain import find_actuations, load, main
 from repro.obs.export import write_trace_jsonl
@@ -163,6 +164,21 @@ class TestActuationChain:
         spans = load(str(intent_trace))
         acts = find_actuations(spans)
         assert len(acts) == 1 and acts[0].name == "mc.intent"
+
+    def test_simulated_intent_round_is_listed_with_its_amendment(self, tmp_path):
+        """The DES GM records the same ``mc.intent`` span as the live one,
+        so ``--actuations`` narrates a simulated two-phase round."""
+        tel = Telemetry()
+        run_multiconcern(MultiConcernConfig(mode="two-phase"), telemetry=tel)
+        path = tmp_path / "mc.jsonl"
+        write_trace_jsonl(str(path), tel)
+        code, text = _run(path, "--actuations")
+        assert code == 0
+        first = text.splitlines()[0]
+        assert "mc.intent by GM" in first
+        assert "add_executor [committed] amended by AM_sec" in first
+        code, text = _run(path, "--actuation", "1")
+        assert "security manager amended nodes: ['u0']" in text
 
     def test_unknown_actuation_exits_2(self, intent_trace):
         code, text = _run(intent_trace, "--actuation", "7")

@@ -7,7 +7,7 @@ end on the paper's hierarchical-manager scenario:
     is bit-identical to a detached run;
 (b) the JSONL decision audit contains spans for all four MAPE phases of
     at least two managers, at least one violation-propagation span and
-    at least one two-phase intent-round span;
+    at least one two-phase ``mc.intent`` span;
 (c) the Prometheus dump carries the control-loop latency histograms.
 """
 
@@ -77,7 +77,7 @@ class TestFig4Acceptance:
         assert all(s["attributes"]["target"] for s in violations)
 
         # (b3) at least one two-phase intent round with its phase events
-        intents = [s for s in spans if s["name"] == "intent.round"]
+        intents = [s for s in spans if s["name"] == "mc.intent"]
         assert intents
         committed = [s for s in intents if s["attributes"]["outcome"] == "committed"]
         assert committed

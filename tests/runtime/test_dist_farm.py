@@ -337,6 +337,43 @@ class TestFaultEdges:
             farm.shutdown()
 
 
+class TestSupervisionLoop:
+    def test_a_raising_pass_is_counted_and_supervision_goes_on(self, monkeypatch):
+        """The supervision pass runs on the live-loop ticker: a pass that
+        raises is counted, and the next passes still declare a killed
+        worker dead and replay its tasks."""
+        calls = []
+        supervise_once = DistFarm.supervise_once
+
+        def flaky(farm):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("supervision pass failed")
+            return supervise_once(farm)
+
+        monkeypatch.setattr(DistFarm, "supervise_once", flaky)
+        tel = Telemetry()
+        farm = quick_farm(telemetry=tel)
+        try:
+            wait_until(lambda: len(calls) > 1, message="a pass after the raising one")
+            errors = tel.metrics.counter("repro_loop_tick_errors_total", "")
+            assert errors.labels(loop=f"{farm.name}-supervisor").value == 1
+            for i in range(20):
+                farm.submit((0.05, i))
+            wait_until(
+                lambda: farm.snapshot().completed >= 2,
+                message="stream in flight before the fault",
+            )
+            victim = farm.inject_crash()
+            assert victim is not None
+            results = farm.drain_results(20, timeout=60.0)
+            assert sorted(results) == [i * i for i in range(20)]
+            assert not next(w for w in farm.workers if w.worker_id == victim).active
+            assert farm.replays >= 1
+        finally:
+            farm.shutdown()
+
+
 class TestDistTelemetry:
     def test_counters_and_spans_reach_the_registry(self):
         tel = Telemetry()
